@@ -125,15 +125,16 @@ def primes_upto(n: int) -> np.ndarray:
 # cache file format: 4-byte magic, lo and hi as little-endian uint64, then
 # the primality bitmap MSB-first via packbits.
 
-def save_sieve(table: SieveTable, path: str) -> None:
-    """Write the primality part of a table atomically (temp file + rename)."""
-    payload = CACHE_MAGIC + struct.pack("<QQ", table.lo, table.hi)
-    payload += np.packbits(table.is_prime).tobytes()
+def atomic_write(path: str, data: bytes) -> None:
+    """Write data to path via a temp file in the same directory and a
+    rename, so readers see the old file or the new one, never a part.
+    Missing parent directories are created."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".fpl1-")
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -141,11 +142,19 @@ def save_sieve(table: SieveTable, path: str) -> None:
         raise
 
 
+def save_sieve(table: SieveTable, path: str) -> None:
+    """Write the primality part of a table atomically."""
+    payload = CACHE_MAGIC + struct.pack("<QQ", table.lo, table.hi)
+    atomic_write(path, payload + np.packbits(table.is_prime).tobytes())
+
+
 def load_sieve(path: str) -> SieveTable:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CACHE_MAGIC:
         raise ArgumentError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 20:
+        raise ArgumentError(f"{path}: truncated header ({len(blob)} of 20 bytes)")
     lo, hi = struct.unpack("<QQ", blob[4:20])
     n = hi - lo
     if len(blob) - 20 != (n + 7) // 8:

@@ -6,7 +6,7 @@ Design notes:
 * Configuration is a flat ``key = value`` text file plus flag overrides;
   every artifact echoes the effective configuration and the package
   version, so runs are reproducible from their own output.
-* Artifacts are written atomically (tempfile + rename) and are
+* Artifacts are written atomically (`arith.atomic_write`) and are
   byte-identical across thread counts for a fixed (config, seed): timing
   is reported on stderr and nulled in the canonical serialization.
 * Exit codes: 0 ok, 2 argument/config error, 3 invariant violation,
@@ -22,14 +22,13 @@ import math
 import os
 import re
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .arith import euler_phi, load_sieve, primes_upto, save_sieve, sieve_primes
+from .arith import atomic_write, load_sieve, save_sieve, sieve_primes
 from .charkloost import (character_group, chi_values, gauss_sum, is_primitive,
                          kloosterman, kloosterman_table, weil_bound,
                          weil_margin_table)
@@ -45,9 +44,7 @@ from .oscillatory import (alpha_constants, gaussian_phase, make_first_phase,
                           window_from_bump)
 from .smoothing import make_bump, make_partition, partition_sum
 
-CONSTANT_KEYS = ("C", "A0", "B0", "D0", "F0", "A_I", "vdc_constant")
-_DEFAULT_CONSTANTS = {"C": 5.0, "A0": 1.0, "B0": 1.0, "D0": 10.0,
-                      "F0": 10.0, "A_I": 8.0, "vdc_constant": 8.0}
+_DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ class RunConfig:
         if self.output not in ("csv", "json"):
             raise ArgumentError(f"output: must be csv or json, got {self.output}")
         for k in self.constants:
-            if k not in CONSTANT_KEYS:
+            if k not in _DEFAULT_CONSTANTS:
                 raise ArgumentError(f"constants: unknown key {k!r}")
         merged = dict(_DEFAULT_CONSTANTS)
         merged.update(self.constants)
@@ -138,7 +135,7 @@ def config_from_args(args) -> RunConfig:
     constants = dict(_DEFAULT_CONSTANTS)
     fields = {}
     for key, val in kv.items():
-        if key in CONSTANT_KEYS:
+        if key in _DEFAULT_CONSTANTS:
             constants[key] = float(val)
         elif key == "I" or key == "interval":
             fields["interval"] = tuple(float(x) for x in val) \
@@ -229,20 +226,6 @@ def record_from_json(text: str) -> ResultRecord:
                         elapsed_ms=d["elapsed_ms"], version=d["version"])
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # plot-data emission
 
@@ -297,20 +280,21 @@ def cache_dir(cfg: RunConfig) -> str:
 
 
 def find_cached_table(cfg: RunConfig, need_hi: int):
-    """Smallest cached sieve covering [2, need_hi), or None."""
+    """Smallest readable cached sieve covering [2, need_hi), or None.
+
+    A cache file that fails to load is skipped with a warning on stderr.
+    """
     d = cache_dir(cfg)
     if not os.path.isdir(d):
         return None
-    best = None
-    for name in os.listdir(d):
-        m = _CACHE_RE.match(name)
-        if m and int(m.group(1)) >= need_hi:
-            n = int(m.group(1))
-            if best is None or n < best:
-                best = n
-    if best is None:
-        return None
-    return load_sieve(os.path.join(d, f"primes_{best}.fpl"))
+    sizes = sorted(int(m.group(1)) for m in map(_CACHE_RE.match, os.listdir(d))
+                   if m and int(m.group(1)) >= need_hi)
+    for n in sizes:
+        try:
+            return load_sieve(os.path.join(d, f"primes_{n}.fpl"))
+        except (ArgumentError, OSError) as e:
+            print(f"warning: skipping prime cache: {e}", file=sys.stderr)
+    return None
 
 
 def _table_for(cfg: RunConfig, need_hi: int):
@@ -328,7 +312,7 @@ def _emit(rec: ResultRecord, args, cfg: RunConfig, body: str | None = None) -> N
     text = body if body is not None else record_to_json(rec, canonical=True)
     sys.stdout.write(text)
     if getattr(args, "out", None):
-        atomic_write_text(args.out, text)
+        atomic_write(args.out, text.encode("utf-8"))
     if rec.elapsed_ms is not None:
         print(f"[{rec.command}] {rec.elapsed_ms:.1f} ms", file=sys.stderr)
 
@@ -353,9 +337,7 @@ def cmd_cache(args, cfg: RunConfig) -> ResultRecord:
     n = int(float(args.build))
     if n < 3:
         raise ArgumentError(f"--build needs n >= 3, got {n}")
-    d = cache_dir(cfg)
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"primes_{n}.fpl")
+    path = os.path.join(cache_dir(cfg), f"primes_{n}.fpl")
     t0 = time.perf_counter()
     table = sieve_primes(2, n)
     save_sieve(table, path)
@@ -442,7 +424,7 @@ def cmd_decompose_check(args, cfg: RunConfig) -> ResultRecord:
             values={"total": terms.total(), "n_terms": len(terms.terms)},
             invariant_flags={},
             elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-        return rec, body
+        return (rec, body) if cfg.output == "csv" else rec
     resid = hb_residual_scan(args.nmax, k=args.k)
     worst = int(np.argmax(resid[2:]) + 2)
     rec = ResultRecord(
@@ -602,7 +584,7 @@ def cmd_level(args, cfg: RunConfig) -> ResultRecord:
         command="level", params=cfg.echo(), values={"theta": val},
         invariant_flags={"in_scope": 0 < cfg.alpha < 1 / 9},
         elapsed_ms=None, version=__version__)
-    return rec, f"{val:g}\n"
+    return (rec, f"{val:g}\n") if cfg.output == "csv" else rec
 
 
 def cmd_selftest(args, cfg: RunConfig) -> ResultRecord:
@@ -610,7 +592,7 @@ def cmd_selftest(args, cfg: RunConfig) -> ResultRecord:
     t_start = time.perf_counter()
     checks: list[tuple[str, bool, str]] = []
 
-    part = make_partition(1.05, 1.0, 120)
+    part = make_partition(1.05, 120)
     xs = np.exp(rng.uniform(0.0, math.log(part.theta ** 110), size=100))
     worst = max(abs(partition_sum(part, float(x)) - 1.0) for x in xs)
     checks.append(("partition-of-unity", worst <= 1e-12, f"max|sum-1|={worst:.3e}"))

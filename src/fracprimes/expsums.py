@@ -62,19 +62,27 @@ def reduced_phase(h, n, alpha: float) -> float:
     return float(_MP50.frac(h * _MP50.power(n, alpha)) % 1)
 
 
+def _reduce_monomial(h, ns: np.ndarray, alpha: float, shift=0.0) -> np.ndarray:
+    """frac(h (n + shift)^alpha) for an integer array n; only oversized
+    entries pay for mpmath."""
+    ns = np.asarray(ns)
+    w = h * np.power(ns.astype(np.float64) + shift, alpha)
+    out = np.mod(w, 1.0)
+    big = np.abs(w) > REDUCTION_THRESHOLD
+    if np.any(big):
+        sh = _MP50.mpf(shift)
+        for i in np.flatnonzero(big):
+            val = h * _MP50.power(int(ns.flat[i]) + sh, alpha)
+            out[i] = float(_MP50.frac(val) % 1)
+    return out
+
+
 def reduced_phase_array(h, ns: np.ndarray, alpha: float) -> np.ndarray:
     """Vectorized reduced phases; only oversized entries pay for mpmath.
 
     Touches no process-global mpmath state; safe to call from threads.
     """
-    ns = np.asarray(ns)
-    w = h * np.power(ns.astype(np.float64), alpha)
-    out = np.mod(w, 1.0)
-    big = np.abs(w) > REDUCTION_THRESHOLD
-    if np.any(big):
-        for i in np.flatnonzero(big):
-            out[i] = float(_MP50.frac(h * _MP50.power(int(ns.flat[i]), alpha)) % 1)
-    return out
+    return _reduce_monomial(h, ns, alpha)
 
 
 def unit_phases(h, ns: np.ndarray, alpha: float) -> np.ndarray:
@@ -339,15 +347,7 @@ def phase_sum(phase: MonomialPhase) -> PhaseSumResult:
     rs = np.arange(r0, r1 + 1, dtype=np.int64)
     if phase.coeff == 0.0:
         return PhaseSumResult(value=complex(len(rs)), count=len(rs), degenerate=True)
-    x = rs.astype(np.float64) + phase.shift
-    w = phase.coeff * np.power(x, phase.exponent)
-    frac = np.mod(w, 1.0)
-    big = np.abs(w) > REDUCTION_THRESHOLD
-    if np.any(big):
-        sh = _MP50.mpf(phase.shift)
-        for i in np.flatnonzero(big):
-            val = phase.coeff * _MP50.power(int(rs[i]) + sh, phase.exponent)
-            frac[i] = float(_MP50.frac(val) % 1)
+    frac = _reduce_monomial(phase.coeff, rs, phase.exponent, phase.shift)
     vals = np.exp(2j * np.pi * frac)
     return PhaseSumResult(value=block_sum(vals), count=len(rs),
                           degenerate=phase.degenerate)

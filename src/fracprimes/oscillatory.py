@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
 from .expsums import REDUCTION_THRESHOLD, mp_context, reduced_phase_array
-from .smoothing import BumpWindow, eval_bump, make_partition, eval_member
+from .smoothing import (BumpWindow, eval_bump, eval_member, make_partition,
+                        richardson_derivative)
 
 _SQRT_GL = 15
 _MP60 = mp_context(60)
@@ -155,7 +157,8 @@ class PhaseModel:
         h0 = self.params.get("fd_step", 1e-3)
         scalar = np.ndim(t) == 0
         ts = np.atleast_1d(t)
-        out = np.array([_real_derivative(self._g, float(x), order, h0) for x in ts])
+        out = np.array([richardson_derivative(self._g, float(x), order, h0)
+                        for x in ts])
         return out[0] if scalar else out
 
 
@@ -188,33 +191,6 @@ def gaussian_phase(Y: float, t0: float) -> PhaseModel:
         return np.zeros_like(t)
 
     return PhaseModel(kind="generic", params={"Y": Y, "t0": t0}, _g=g, _dg=dg)
-
-
-def _real_derivative(fn, x, order, h0, levels=3):
-    """Richardson central differences for a real- or complex-valued fn."""
-    stencils = {
-        1: ((-1, 1), (-0.5, 0.5)),
-        2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-        3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-        4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-        5: ((-3, -2, -1, 1, 2, 3), (-0.5, 2.0, -2.5, 2.5, -2.0, 0.5)),
-        6: ((-3, -2, -1, 0, 1, 2, 3), (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)),
-    }
-    if order == 0:
-        return fn(x)
-    offs, coefs = stencils[order]
-    ests = []
-    h = h0
-    for _ in range(levels):
-        val = sum(c * complex(fn(x + o * h)) for o, c in zip(offs, coefs))
-        ests.append(val / h ** order)
-        h /= 2.0
-    fac = 4.0
-    while len(ests) > 1:
-        ests = [(fac * b - a) / (fac - 1.0) for a, b in zip(ests, ests[1:])]
-        fac *= 4.0
-    val = ests[0]
-    return val if abs(val.imag) > 0 else val.real
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +456,10 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     def G(t):
         return w(t) * np.exp(2j * np.pi * H(t))
 
-    phases = []
-    for nn in range(min(n_terms + 1, 4)):  # one extra term for the estimate
-        if 2 * nn == 0:
-            d = complex(G(np.asarray(t0)))
-        elif 2 * nn > 6:
-            d = None
-        else:
-            d = complex(_real_derivative(G, t0, 2 * nn, step))
-        phases.append(d)
+    # G^{(2n)}(t0) for n <= n_terms: one extra term for the estimate
+    phases = [complex(G(np.asarray(t0)))]
+    phases += [complex(richardson_derivative(G, t0, 2 * nn, step))
+               for nn in range(1, n_terms + 1)]
 
     pre = np.exp(-1j * np.pi / 4)
     terms = []
@@ -498,12 +469,8 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     lead = np.exp(2j * np.pi * (g0 % 1.0)) / math.sqrt(ag2)
     value = lead * sum(terms)
 
-    if phases[n_terms] is not None:
-        nxt = abs(phases[n_terms]) / (math.factorial(n_terms)
-                                      * (4 * np.pi * ag2) ** n_terms)
-    else:
-        nxt = abs(terms[-1]) ** 2 / max(abs(terms[-2]), 1e-300) \
-            if len(terms) >= 2 else abs(terms[-1])
+    nxt = abs(phases[n_terms]) / (math.factorial(n_terms)
+                                  * (4 * np.pi * ag2) ** n_terms)
     return OscIntegralResult(value=complex(value),
                              method="stationary-expansion",
                              error_estimate=float(nxt / math.sqrt(ag2)),
@@ -535,10 +502,6 @@ class TruncationWindows:
     @property
     def empty_main_term(self) -> bool:
         return self.T2 < 1.0
-
-    @property
-    def empty_second(self) -> bool:
-        return self.T4 is not None and self.T4 < 1.0
 
 
 def truncation_windows(alpha: float, h: float, u: int, m: int, N: float,
@@ -589,6 +552,99 @@ def _gauss_row(table, idx: int) -> np.ndarray:
     return np.fft.ifft(vals) * table.q
 
 
+def _partition(theta: float, X: float):
+    """The dyadic partition whose grid theta^l reaches past 4X."""
+    return make_partition(theta, max(2, math.ceil(math.log(4 * X)
+                                                  / math.log(theta))))
+
+
+def _snap(part, x: float) -> float:
+    """The grid value theta^l nearest to x on a log scale."""
+    theta = part.theta
+    return theta ** part.grid.index_of(
+        theta ** round(math.log(x) / math.log(theta)))
+
+
+_A_TAIL = 8.0
+
+
+def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
+                   phase_at, *, pref: float, slope: tuple, lead_peak: float,
+                   g_lead: float, v_width: float, curv: float, T: float,
+                   s_max: int | None, tol: float, quad_tol: float,
+                   label: str, meta: dict) -> PoissonCheck:
+    """Check lhs against  pref * sum_{|s| <= s_max} tau(chi; s) I(s),
+    I(s) = int w e(g_s) over the support of w, g_s = phase_at(s).
+
+    g_s is a lead term minus the linear term (num/den) s t; slope = (num,
+    den) stays a fraction so that num * s / den rounds like the first
+    kind's X s / (q u m n).  lead_peak bounds the lead term's derivative
+    and g_lead its size on the support.  v_width is the amplitude's
+    inverse-derivative scale, curv the size of g_s''.  Without a given
+    s_max the sum grows from ceil(T) + 4 until the tail bound beyond it
+    drops under tol/4; T < 1 means no s has a stationary point.
+    """
+    q = len(gauss)
+    lo, hi = wmodel.lo, wmodel.hi
+    num, den = slope
+    # tail machinery: |I(s)| for s beyond the window is bounded by repeated
+    # integration by parts; the mollifier's j-th derivatives grow like
+    # (j^2/width)^j, so the effective inverse-derivative scale carries a
+    # 1/A_I^2 correction (without it the power bound undershoots)
+    amp_max = (float(np.max(np.abs(wmodel(np.linspace(lo, hi, 257)))))
+               if hi > lo else 1.0)
+    v_scale = v_width / _A_TAIL ** 2
+    y_curv = max(curv, 1.0)
+
+    def tail_beyond(sm: int) -> float:
+        acc = 0.0
+        for s_t in range(sm + 1, 64 * (sm + 1)):
+            r = num * s_t / den - lead_peak
+            if r <= 0:
+                continue
+            term = nonstationary_bound(X_I=max(amp_max, 1e-300), V_I=v_scale,
+                                       Y_I=y_curv, Q_I=1.0, R_I=r, A_I=_A_TAIL,
+                                       J_len=max(hi - lo, 1e-12))
+            acc += 2 * term * q   # both signs of s; |tau| <= q
+            if term * q < 1e-22 * max(acc, 1.0):
+                break
+        return acc * abs(pref)
+
+    if s_max is None:
+        s_max = int(math.ceil(T)) + 4
+        budget = 0.25 * tol * max(1.0, abs(lhs))
+        while tail_beyond(s_max) > budget and s_max < 16 * (T + 40):
+            s_max += max(4, s_max // 4)
+
+    rhs = 0j
+    quad_err = 0.0
+    if hi > lo:
+        # phase-evaluation noise floors the achievable error estimate at
+        # ~ 2 pi eps |g|_max int|w|; never ask quad_osc for less than that
+        g_peak = g_lead + num * s_max * hi / den
+        floor = 2 * np.pi * 2.3e-16 * g_peak * (hi - lo) * max(amp_max, 1.0)
+        qtol = max(quad_tol, 40 * floor)
+        for s in range(-s_max, s_max + 1):
+            tau_s = gauss[s % q]
+            if abs(tau_s) < 1e-13:
+                continue
+            res = quad_osc(wmodel, phase_at(s), (lo, hi), tol=qtol)
+            rhs += tau_s * res.value
+            quad_err += abs(tau_s) * res.error_estimate
+    rhs *= pref
+    quad_err *= abs(pref)
+
+    tail = tail_beyond(s_max)
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    if tail > tol * max(1.0, scale):
+        raise AccuracyError(f"{label}-sum tail bound {tail} above tolerance",
+                            value=rhs, error_estimate=tail)
+    diff = abs(lhs - rhs)
+    return PoissonCheck(lhs=lhs, rhs=rhs, diff=diff, rel=diff / scale,
+                        s_max=s_max, tail_bound=tail, empty_main_term=T < 1.0,
+                        meta={**meta, "quad_err": quad_err})
+
+
 def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
                          h: float, alpha: float, X: int, window: BumpWindow,
                          theta: float = 1.1, K: float | None = None,
@@ -608,16 +664,14 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     if not 0 <= chi_index < table.phi:
         raise ArgumentError(f"chi_index {chi_index} out of range")
     umn = u * m * n
-    part = make_partition(theta, 1.0, max(2, math.ceil(math.log(4 * X)
-                                                       / math.log(theta))))
+    part = _partition(theta, X)
     if K is None:
         t_mid = 0.5 * (1 + window.y)
         if X * t_mid / umn < 1.0:
             raise ArgumentError(
                 f"derived block scale X*t/(u*m*n) = {X * t_mid / umn:.3g} < 1; "
                 "increase X or decrease u*m*n")
-        K = theta ** part.grid.index_of(
-            theta ** round(math.log(X * t_mid / umn) / math.log(theta)))
+        K = _snap(part, X * t_mid / umn)
     else:
         part.grid.index_of(K)
 
@@ -646,79 +700,63 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
         x = X * t / umn
         return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
 
-    wmodel = WindowModel(fn=w_t, lo=t_lo, hi=t_hi,
-                         params={"f3": f3, "K": K, "theta": theta})
-    gauss = _gauss_row(table, chi_index)
+    return _poisson_s_sum(
+        lhs, _gauss_row(table, chi_index),
+        WindowModel(fn=w_t, lo=t_lo, hi=t_hi,
+                    params={"f3": f3, "K": K, "theta": theta}),
+        partial(make_first_phase, h, X, alpha, q, u, m, n),
+        pref=X / (q * umn), slope=(X, q * umn),
+        lead_peak=alpha * h * X ** alpha * t_lo ** (alpha - 1),
+        g_lead=abs(h) * (X * t_hi) ** alpha,
+        v_width=min(window.delta, t_lo * (1 - 1 / theta)),
+        curv=alpha * (1 - alpha) * h * X ** alpha * t_lo ** (alpha - 2),
+        T=tw.T2, s_max=s_max, tol=tol, quad_tol=quad_tol, label="s",
+        meta={"q": q, "u": u, "m": m, "n": n, "h": h, "alpha": alpha, "X": X,
+              "K": K, "theta": theta, "chi_index": chi_index, "f3": f3,
+              "k_terms": int(len(ks)),
+              "amp_l1": float(np.sum(np.abs(amp_k))),
+              "t_support": (t_lo, t_hi)})
 
-    # tail machinery: |I(s)| for s beyond the window is bounded by repeated
-    # integration by parts; the mollifier's j-th derivatives grow like
-    # (j^2/width)^j, so the effective inverse-derivative scale carries a
-    # 1/A_I^2 correction (without it the power bound undershoots)
-    A_tail = 8.0
-    amp_grid = np.linspace(t_lo, t_hi, 257) if t_hi > t_lo else np.array([1.0])
-    amp_max = float(np.max(np.abs(w_t(amp_grid)))) if t_hi > t_lo else 1.0
-    v_scale = min(window.delta, t_lo * (1 - 1 / theta)) / A_tail ** 2
-    y_curv = max(alpha * (1 - alpha) * h * X ** alpha * t_lo ** (alpha - 2), 1.0)
-    drift_peak = alpha * h * X ** alpha * t_lo ** (alpha - 1)
 
-    def tail_beyond(sm: int) -> float:
-        acc = 0.0
-        for s_t in range(sm + 1, 64 * (sm + 1)):
-            r = X * s_t / (q * umn) - drift_peak
-            if r <= 0:
-                continue
-            term = nonstationary_bound(X_I=max(amp_max, 1e-300), V_I=v_scale,
-                                       Y_I=y_curv, Q_I=1.0, R_I=r, A_I=A_tail,
-                                       J_len=max(t_hi - t_lo, 1e-12))
-            acc += 2 * term * q   # both signs of s; |tau| <= q
-            if term * q < 1e-22 * max(acc, 1.0):
-                break
-        return acc * X / (q * umn)
+def _second_t0(nv, X, alpha, h, q, u, m, s):
+    """t0(n) = (a h q u m n / s)^{1/(1-a)} / X, the critical point of the
+    n-th t-integral."""
+    return ((alpha * h * q * u * m * np.asarray(nv, dtype=float) / s)
+            ** (1 / (1 - alpha)) / X)
 
-    if s_max is None:
-        s_max = int(math.ceil(tw.T2)) + 4
-        budget = 0.25 * tol * max(1.0, abs(lhs))
-        while tail_beyond(s_max) > budget and s_max < 16 * (tw.T2 + 40):
-            s_max += max(4, s_max // 4)
 
-    rhs = 0j
-    pref = X / (q * umn)
-    quad_err = 0.0
-    if t_hi > t_lo:
-        # phase-evaluation noise floors the achievable error estimate at
-        # ~ 2 pi eps |g|_max int|w|; never ask quad_osc for less than that
-        g_peak = abs(h) * (X * t_hi) ** alpha + X * s_max * t_hi / (q * umn)
-        w_peak = float(np.max(np.abs(w_t(np.linspace(t_lo, t_hi, 257)))))
-        floor = 2 * np.pi * 2.3e-16 * g_peak * (t_hi - t_lo) * max(w_peak, 1.0)
-        qtol = max(quad_tol, 40 * floor)
-        for s in range(-s_max, s_max + 1):
-            tau_s = gauss[s % q]
-            if abs(tau_s) < 1e-13:
-                continue
-            phase = make_first_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
-                                     n=n, s=s)
-            res = quad_osc(wmodel, phase, (t_lo, t_hi), tol=qtol)
-            rhs += tau_s * res.value
-            quad_err += abs(tau_s) * res.error_estimate
-    rhs *= pref
-    quad_err *= pref
+def _second_amplitudes(X, alpha, h, q, u, m, s, window, part, N, K,
+                       f2: str, f3: str):
+    """The amplitude of the second identity in both variables.
 
-    tail = tail_beyond(s_max)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if tail > tol * max(1.0, scale):
-        raise AccuracyError(f"s-sum tail bound {tail} above tolerance",
-                            value=rhs, error_estimate=tail)
-    diff = abs(lhs - rhs)
-    return PoissonCheck(lhs=lhs, rhs=rhs, diff=diff, rel=diff / scale,
-                        s_max=s_max, tail_bound=tail,
-                        empty_main_term=tw.empty_main_term,
-                        meta={"q": q, "u": u, "m": m, "n": n, "h": h,
-                              "alpha": alpha, "X": X, "K": K, "theta": theta,
-                              "chi_index": chi_index, "f3": f3,
-                              "k_terms": int(len(ks)),
-                              "quad_err": quad_err,
-                              "amp_l1": float(np.sum(np.abs(amp_k))),
-                              "t_support": (t_lo, t_hi)})
+    amp_n(n)   = f2(n) n^{b/2-1} Psi_N(n) w_n(t0(n)),
+    w_tau(tau) = f2(n) Psi_N(n) tau^{b/2-1} w_n(tau^{1/(1-a)}),
+    n = n(tau) = s X^{1-a} tau / (a h q u m),
+    with w_n(t) = f3(Xt/(umn)) Psi_K(Xt/(umn)) psi(t).
+    """
+    cst = alpha_constants(alpha)
+    f2_fn = _slot_weight(f2)
+    f3_fn = _slot_weight(f3)
+
+    def w_n(nv, t):
+        t = np.asarray(t, dtype=float)
+        x = X * t / (u * m * nv)
+        return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
+
+    def amp_n(nv):
+        nv = np.asarray(nv, dtype=float)
+        t0s = _second_t0(nv, X, alpha, h, q, u, m, s)
+        return (f2_fn(nv) * np.power(nv, cst.beta / 2 - 1)
+                * eval_member(part, N, nv) * w_n(nv, t0s))
+
+    def w_tau(taus):
+        taus = np.asarray(taus, dtype=float)
+        nv = s * X ** (1 - alpha) * taus / (alpha * h * q * u * m)
+        return (f2_fn(nv) * eval_member(part, N, nv)
+                * np.power(taus, cst.beta / 2 - 1)
+                * w_n(nv, np.power(taus, cst.delta)))
+
+    return amp_n, w_tau
 
 
 def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
@@ -752,49 +790,34 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta
 
-    part = make_partition(theta, 1.0, max(2, math.ceil(math.log(4 * X)
-                                                       / math.log(theta))))
+    part = _partition(theta, X)
     if N is None:
         # place the critical point of the n-sum mid-plateau
         n_star = s * X ** (1 - alpha) * (0.5 * (1 + window.y)) ** (1 / delta) \
             / (alpha * h * q * u * m)
-        N = theta ** part.grid.index_of(
-            theta ** round(math.log(n_star) / math.log(theta)))
+        N = _snap(part, n_star)
     else:
         part.grid.index_of(N)
     aq = alpha * h * q * u * m
 
-    def t0_of(nv):
-        return (aq * np.asarray(nv, dtype=float) / s) ** delta / X
-
     if K is None:
-        k_star = X * float(t0_of(N)) / (u * m * N)
+        k_star = X * float(_second_t0(N, X, alpha, h, q, u, m, s)) / (u * m * N)
         if k_star < 1.0:
             raise ArgumentError(
                 f"derived block scale X*t0/(u*m*N) = {k_star:.3g} < 1; "
                 "the N-block is too wide for this (h, s, X) combination")
-        K = theta ** part.grid.index_of(
-            theta ** round(math.log(k_star) / math.log(theta)))
+        K = _snap(part, k_star)
     else:
         part.grid.index_of(K)
-
-    f2_fn = _slot_weight(f2)
-    f3_fn = _slot_weight(f3)
-
-    def w_n(nv, t):
-        nv = np.asarray(nv, dtype=float)
-        t = np.asarray(t, dtype=float)
-        x = X * t / (u * m * nv)
-        return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
+    amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
+                                      N, K, f2, f3)
 
     # ----- lhs: finite n-sum ------------------------------------------------
     n_lo = math.ceil(N / theta)
     n_hi = math.floor(N * theta)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     chiv = chi_values(table, chi_index)
-    t0s = t0_of(ns)
-    amp = (f2_fn(ns) * np.power(ns.astype(float), beta / 2 - 1)
-           * eval_member(part, N, ns.astype(float)) * w_n(ns, t0s))
+    amp = amp_n(ns)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
     phi_vals = phi_scale * np.power(q * u * m * ns.astype(float) / s, gamma)
     big = np.abs(phi_vals) > REDUCTION_THRESHOLD
@@ -812,92 +835,26 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     tw = truncation_windows(alpha, h, u, m, N, q, X, s=s)
     tau_lo = aq * (N / theta) / (s * X ** (1 - alpha))
     tau_hi = aq * (N * theta) / (s * X ** (1 - alpha))
-
-    def n_of(taus):
-        return s * X ** (1 - alpha) * np.asarray(taus, dtype=float) / aq
-
-    def w_tau(taus):
-        taus = np.asarray(taus, dtype=float)
-        nv = n_of(taus)
-        return (f2_fn(nv) * eval_member(part, N, nv)
-                * np.power(taus, beta / 2 - 1) * w_n(nv, np.power(taus, delta)))
-
-    wmodel = WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi,
-                         params={"N": N, "K": K, "theta": theta,
-                                 "f2": f2, "f3": f3})
-    gauss = _gauss_row(table, chi_index)
-    pref = (s * X ** (1 - alpha) / aq) ** (beta / 2) / q
-
-    # tail bound beyond sigma_max (same derivative-growth correction as in
-    # the first verification)
-    A_tail = 8.0
-    sample = np.linspace(tau_lo, tau_hi, 257)
-    amp_max = float(np.max(np.abs(w_tau(sample))))
-    v_scale = tau_lo * (1 - 1 / theta) / A_tail ** 2
-    y_curv = max(abs(float(make_second_phase(h=h, X=X, alpha=alpha, q=q, u=u,
-                                             m=m, s=s, sigma=1).dg(
-                                                 0.5 * (tau_lo + tau_hi), 2))),
-                 1.0)
-    lead_peak = float(np.max(np.abs(
-        (1 - alpha) * h * X ** alpha * gamma * np.power(sample, gamma - 1))))
-    lin_unit = X ** (1 - alpha) * s / (alpha * h * q ** 2 * u * m)
-
-    def tail_beyond(sm: int) -> float:
-        acc = 0.0
-        for sig_t in range(sm + 1, 64 * (sm + 1)):
-            r = lin_unit * sig_t - lead_peak
-            if r <= 0:
-                continue
-            term = nonstationary_bound(X_I=max(amp_max, 1e-300), V_I=v_scale,
-                                       Y_I=y_curv, Q_I=1.0, R_I=r, A_I=A_tail,
-                                       J_len=max(tau_hi - tau_lo, 1e-12))
-            acc += 2 * term * q
-            if term * q < 1e-22 * max(acc, 1.0):
-                break
-        return acc * abs(pref)
-
-    if sigma_max is None:
-        sigma_max = int(math.ceil(tw.T4 if tw.T4 is not None else 1)) + 4
-        budget = 0.25 * tol * max(1.0, abs(lhs))
-        cap = 16 * ((tw.T4 or 1) + 40)
-        while tail_beyond(sigma_max) > budget and sigma_max < cap:
-            sigma_max += max(4, sigma_max // 4)
-
-    rhs = 0j
-    quad_err = 0.0
-    g_peak = ((1 - alpha) * h * X ** alpha * tau_hi ** gamma
-              + lin_unit * sigma_max * tau_hi)
-    floor = 2 * np.pi * 2.3e-16 * g_peak * (tau_hi - tau_lo) * max(amp_max, 1.0)
-    qtol = max(quad_tol, 40 * floor)
-    for sig in range(-sigma_max, sigma_max + 1):
-        tau_sig = gauss[sig % q]
-        if abs(tau_sig) < 1e-13:
-            continue
-        phase = make_second_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
-                                  s=s, sigma=sig)
-        res = quad_osc(wmodel, phase, (tau_lo, tau_hi), tol=qtol)
-        rhs += tau_sig * res.value
-        quad_err += abs(tau_sig) * res.error_estimate
-    rhs *= pref
-    quad_err *= abs(pref)
-
-    tail = tail_beyond(sigma_max)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if tail > tol * max(1.0, scale):
-        raise AccuracyError(f"sigma-sum tail bound {tail} above tolerance",
-                            value=rhs, error_estimate=tail)
-    diff = abs(lhs - rhs)
-    return PoissonCheck(lhs=lhs, rhs=rhs, diff=diff, rel=diff / scale,
-                        s_max=sigma_max, tail_bound=tail,
-                        empty_main_term=(tw.T4 is not None and tw.T4 < 1),
-                        meta={"q": q, "u": u, "m": m, "s": s, "h": h,
-                              "alpha": alpha, "X": X, "N": N, "K": K,
-                              "theta": theta, "chi_index": chi_index,
-                              "n_terms": int(len(ns)),
-                              "quad_err": quad_err,
-                              "amp_l1": float(np.sum(np.abs(amp))),
-                              "tau_support": (tau_lo, tau_hi),
-                              "T3": tw.T3, "T4": tw.T4})
+    phase_at = partial(make_second_phase, h, X, alpha, q, u, m, s)
+    lead = (1 - alpha) * h * X ** alpha
+    return _poisson_s_sum(
+        lhs, _gauss_row(table, chi_index),
+        WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi,
+                    params={"N": N, "K": K, "theta": theta, "f2": f2,
+                            "f3": f3}),
+        phase_at, pref=(s * X ** (1 - alpha) / aq) ** (beta / 2) / q,
+        slope=(X ** (1 - alpha) * s / (alpha * h * q ** 2 * u * m), 1.0),
+        lead_peak=float(np.max(np.abs(lead * gamma * np.power(
+            np.linspace(tau_lo, tau_hi, 257), gamma - 1)))),
+        g_lead=lead * tau_hi ** gamma,
+        v_width=tau_lo * (1 - 1 / theta),
+        curv=abs(float(phase_at(1).dg(0.5 * (tau_lo + tau_hi), 2))),
+        T=tw.T4, s_max=sigma_max, tol=tol, quad_tol=quad_tol, label="sigma",
+        meta={"q": q, "u": u, "m": m, "s": s, "h": h, "alpha": alpha, "X": X,
+              "N": N, "K": K, "theta": theta, "chi_index": chi_index,
+              "n_terms": int(len(ns)),
+              "amp_l1": float(np.sum(np.abs(amp))),
+              "tau_support": (tau_lo, tau_hi), "T3": tw.T3, "T4": tw.T4})
 
 
 def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
@@ -912,46 +869,22 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
     change-of-variables T = a h q u m n/(s X^{1-a}) with its Jacobian.
     """
     cst = alpha_constants(alpha)
-    beta, gamma, delta = cst.beta, cst.gamma, cst.delta
-    part = make_partition(theta, 1.0, max(2, math.ceil(math.log(4 * X)
-                                                       / math.log(theta))))
+    part = _partition(theta, X)
     part.grid.index_of(N)
     part.grid.index_of(K)
     aq = alpha * h * q * u * m
-    f3_fn = _slot_weight("log")
-
-    def w_n(nv, t):
-        nv = np.asarray(nv, dtype=float)
-        x = X * np.asarray(t, dtype=float) / (u * m * nv)
-        return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
-
-    def t0_of(nv):
-        return (aq * np.asarray(nv, dtype=float) / s) ** delta / X
-
-    phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
-
-    def amp_n(nv):
-        nv = np.asarray(nv, dtype=float)
-        return (np.power(nv, beta / 2 - 1) * eval_member(part, N, nv)
-                * w_n(nv, t0_of(nv)))
+    amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
+                                      N, K, "one", "log")
+    phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
 
     def phase_n(nv):
         nv = np.asarray(nv, dtype=float)
-        return phi_scale * np.power(q * u * m * nv / s, gamma) - sigma * nv / q
+        return phi_scale * np.power(q * u * m * nv / s, cst.gamma) - sigma * nv / q
 
     n_lo, n_hi = N / theta, N * theta
     direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
                       make_generic_phase(phase_n, dg=None, fd_step=1e-2),
                       (n_lo, n_hi), tol=quad_tol)
-
-    def n_of(taus):
-        return s * X ** (1 - alpha) * np.asarray(taus, dtype=float) / aq
-
-    def w_tau(taus):
-        taus = np.asarray(taus, dtype=float)
-        nv = n_of(taus)
-        return (eval_member(part, N, nv) * np.power(taus, beta / 2 - 1)
-                * w_n(nv, np.power(taus, delta)))
 
     tau_lo = aq * n_lo / (s * X ** (1 - alpha))
     tau_hi = aq * n_hi / (s * X ** (1 - alpha))
@@ -959,5 +892,5 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
                               s=s, sigma=sigma)
     transformed = quad_osc(WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
                            phase, (tau_lo, tau_hi), tol=quad_tol)
-    pref = (s * X ** (1 - alpha) / aq) ** (beta / 2)
+    pref = (s * X ** (1 - alpha) / aq) ** (cst.beta / 2)
     return direct.value, pref * transformed.value

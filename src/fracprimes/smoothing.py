@@ -42,15 +42,10 @@ def smoothstep(t):
 
 @dataclass(frozen=True)
 class BumpWindow:
-    """Smooth cutoff: 1 on [1, y], 0 outside [1-delta, y+delta].
-
-    b0 records the exponent behind delta = (log X)^(-b0) when the window
-    comes from a scaled setup; it is metadata only.
-    """
+    """Smooth cutoff: 1 on [1, y], 0 outside [1-delta, y+delta]."""
 
     y: float
     delta: float
-    b0: float = 1.0
 
     def __post_init__(self):
         if not self.y > 1:
@@ -60,16 +55,14 @@ class BumpWindow:
         if not self.delta < (self.y - 1) / 2:
             raise ArgumentError(
                 f"need delta < (y-1)/2 = {(self.y - 1) / 2}, got {self.delta}")
-        if not self.b0 >= 1:
-            raise ArgumentError(f"need b0 >= 1, got {self.b0}")
 
     @property
     def support(self):
         return (1.0 - self.delta, self.y + self.delta)
 
 
-def make_bump(y: float, delta: float, b0: float = 1.0) -> BumpWindow:
-    return BumpWindow(y=float(y), delta=float(delta), b0=float(b0))
+def make_bump(y: float, delta: float) -> BumpWindow:
+    return BumpWindow(y=float(y), delta=float(delta))
 
 
 def eval_bump(w: BumpWindow, x):
@@ -110,29 +103,17 @@ class GridG:
 
 
 @dataclass(frozen=True)
-class DyadicPartition:
-    """Partition of unity on the grid; base_window is the master profile."""
-
-    theta: float
-    a0: float
-    max_power: int
-    base_window: str = "smoothstep"   # single master profile; kept for metadata
-
-    def __post_init__(self):
-        if not self.theta > 1:
-            raise ArgumentError(f"need theta > 1, got {self.theta}")
-        if not self.a0 >= 1:
-            raise ArgumentError(f"need a0 >= 1, got {self.a0}")
-        if self.max_power < 1:
-            raise ArgumentError(f"need max_power >= 1, got {self.max_power}")
+class DyadicPartition(GridG):
+    """Partition of unity on the grid theta^l, l = 0..max_power; its fields
+    and their checks are the grid's."""
 
     @property
     def grid(self) -> GridG:
         return GridG(theta=self.theta, max_power=self.max_power)
 
 
-def make_partition(theta: float, a0: float, max_power: int) -> DyadicPartition:
-    return DyadicPartition(theta=float(theta), a0=float(a0), max_power=int(max_power))
+def make_partition(theta: float, max_power: int) -> DyadicPartition:
+    return DyadicPartition(theta=float(theta), max_power=int(max_power))
 
 
 def master_window(theta: float, x):
@@ -190,24 +171,31 @@ _STENCILS = {
 }
 
 
-def richardson_derivative(fn, x: float, order: int, h0: float, levels: int = 3) -> float:
+def richardson_derivative(fn, x: float, order: int, h0: float,
+                          levels: int = 3) -> float | complex:
     """order-th derivative of fn at x by central differences on steps
-    h0, h0/2, ... with Richardson extrapolation across the levels."""
+    h0, h0/2, ... with Richardson extrapolation across the levels.
+
+    fn may be real- or complex-valued; a result with zero imaginary part
+    comes back as a float.
+    """
     if order == 0:
-        return float(fn(x))
-    offs, coefs = _STENCILS[order]
-    ests = []
-    h = h0
-    for _ in range(levels):
-        val = sum(c * float(fn(x + o * h)) for o, c in zip(offs, coefs))
-        ests.append(val / h ** order)
-        h /= 2.0
-    # each halving gains a factor 4 in the h^2 error term
-    fac = 4.0
-    while len(ests) > 1:
-        ests = [(fac * b - a) / (fac - 1.0) for a, b in zip(ests, ests[1:])]
-        fac *= 4.0
-    return ests[0]
+        val = complex(fn(x))
+    else:
+        offs, coefs = _STENCILS[order]
+        ests = []
+        h = h0
+        for _ in range(levels):
+            val = sum(c * complex(fn(x + o * h)) for o, c in zip(offs, coefs))
+            ests.append(val / h ** order)
+            h /= 2.0
+        # each halving gains a factor 4 in the h^2 error term
+        fac = 4.0
+        while len(ests) > 1:
+            ests = [(fac * b - a) / (fac - 1.0) for a, b in zip(ests, ests[1:])]
+            fac *= 4.0
+        val = ests[0]
+    return val if abs(val.imag) > 0 else val.real
 
 
 def window_derivative(w: BumpWindow, j: int, x: float, h0: float | None = None) -> float:

@@ -175,7 +175,7 @@ def test_criterion_2(capsys):
 # 3. Dyadic partition of unity sums to 1
 
 def _criterion_3(threads: int):
-    part = make_partition(1.1, 1.0, 200)
+    part = make_partition(1.1, 200)
     rng = np.random.default_rng(3)
     xs = np.exp(rng.uniform(0.0, math.log(1e6), size=10_000))
 

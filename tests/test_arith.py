@@ -11,6 +11,7 @@ from fracprimes.arith import (FactoredInteger, divisors, euler_phi, factor,
                               tau_k, unit_inverses, von_mangoldt,
                               von_mangoldt_range)
 from fracprimes.errors import ArgumentError
+from fracprimes.errors import ArgumentError
 
 import oracles
 
@@ -33,6 +34,16 @@ def test_sieve_roundtrip(tmp_path):
     assert back.lo == table.lo and back.hi == table.hi
     assert np.array_equal(back.primes(), table.primes())
     assert np.array_equal(back.smallest_factor, table.smallest_factor)
+
+
+@pytest.mark.parametrize("size", [10, 100])
+def test_load_sieve_rejects_truncated_file(tmp_path, size):
+    # 10 bytes cuts into the 20-byte header, 100 bytes into the bitmap
+    path = tmp_path / "primes_10000.fpl"
+    save_sieve(sieve_primes(2, 10_000), str(path))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ArgumentError, match="truncated"):
+        load_sieve(str(path))
 
 
 def test_factor_reconstructs_and_is_sorted():

@@ -54,6 +54,25 @@ def test_decompose_check_csv(capsys):
     assert max(float(r[1]) for r in rows) <= 1e-9
 
 
+def test_decompose_check_single_n_json(capsys):
+    code, out, _ = run_cli(capsys, ["decompose-check", "--n", "9",
+                                    "--output", "json"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["command"] == "decompose-check"
+    assert rec["values"]["total"] == pytest.approx(math.log(3), abs=1e-9)
+    assert rec["values"]["n_terms"] > 0
+
+
+def test_level_json(capsys):
+    code, out, _ = run_cli(capsys, ["level", "--alpha", "0.1",
+                                    "--output", "json"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["command"] == "level"
+    assert rec["values"]["theta"] == pytest.approx(0.34)
+
+
 def test_expsum_two_prime_example(capsys):
     code, out, _ = run_cli(capsys, ["expsum", "--X", "10", "--Y", "20",
                                     "--h", "1", "--alpha", "0.5", "--q", "3",
@@ -168,6 +187,39 @@ def test_cache_build_and_reuse(tmp_path, monkeypatch, capsys):
     assert rec2.values["count"] == rec.values["count"]
 
 
+@pytest.mark.parametrize("size", [10, 100])
+def test_corrupt_cache_is_skipped(tmp_path, monkeypatch, capsys, size):
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    for n in ("100000", "200000"):
+        assert run_cli(capsys, ["cache", "--build", n])[0] == 0
+    small = tmp_path / "primes_100000.fpl"
+    large = tmp_path / "primes_200000.fpl"
+    argv = ["count", "--X", "50000", "--alpha", "0.1", "--I", "0,0.5",
+            "--output", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    want = record_from_json(out).values["count"]
+
+    # the smallest covering file is cut: skip it, read the next one
+    small.write_bytes(small.read_bytes()[:size])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags["cache_hit"] is True
+    assert rec.values["count"] == want
+    warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and str(small) in warnings[0]
+
+    # no readable covering file is left: sieve instead
+    large.write_bytes(large.read_bytes()[:size])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags["cache_hit"] is False
+    assert rec.values["count"] == want
+    warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 2
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "sub" / "level.txt"
     code, out, _ = run_cli(capsys, ["level", "--alpha", "0.1", "--out",
@@ -199,6 +251,13 @@ def test_config_echo_in_params(capsys):
     assert rec.params["alpha"] == 0.1
     assert rec.params["seed"] == 7
     assert rec.version
+
+
+@pytest.mark.parametrize("key", ["A0", "B0", "D0", "F0", "vdc_constant"])
+def test_unread_constants_are_unknown_keys(capsys, key):
+    code, _, err = run_cli(capsys, ["level", "--set", f"{key}=1"])
+    assert code == 2
+    assert "unknown config key" in err
 
 
 def test_bad_config_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_master_window_step():
 
 
 def test_partition_of_unity_fixed_grid():
-    part = make_partition(1.1, 1.0, 200)
+    part = make_partition(1.1, 200)
     rng = np.random.default_rng(7)
     xs = np.exp(rng.uniform(0.0, math.log(1.1 ** 190), size=2000))
     worst = max(abs(partition_sum(part, float(x)) - 1.0) for x in xs)
@@ -66,7 +67,7 @@ def test_partition_of_unity_fixed_grid():
 def test_partition_sum_equals_member_loop():
     # the one-member-at-a-time sum over the whole grid is the exact reference:
     # members away from x are exactly 0, so adding them changes no bit
-    part = make_partition(1.1, 1.0, 60)
+    part = make_partition(1.1, 60)
     rng = np.random.default_rng(11)
     for x in np.exp(rng.uniform(0.0, math.log(1.1 ** 58), size=50)):
         total = 0.0
@@ -79,13 +80,13 @@ def test_partition_sum_equals_member_loop():
        st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=80, deadline=None)
 def test_partition_of_unity_random_theta(theta, unit_pos):
-    part = make_partition(theta, 1.0, 60)
+    part = make_partition(theta, 60)
     x = theta ** (unit_pos * 50)
     assert abs(partition_sum(part, float(x)) - 1.0) <= 1e-12
 
 
 def test_member_support_is_one_block():
-    part = make_partition(1.1, 1.0, 60)
+    part = make_partition(1.1, 60)
     D = 1.1 ** 20
     # support of the member is (D/theta, D*theta)
     assert float(eval_member(part, D, D)) > 0.0
@@ -95,13 +96,13 @@ def test_member_support_is_one_block():
 
 
 def test_member_rejects_off_grid_scale():
-    part = make_partition(1.1, 1.0, 60)
+    part = make_partition(1.1, 60)
     with pytest.raises(ArgumentError):
         eval_member(part, 1.1 ** 20 * 1.003, 5.0)
 
 
 def test_grid_index_roundtrip():
-    part = make_partition(1.1, 1.0, 60)
+    part = make_partition(1.1, 60)
     for ell in (0, 1, 7, 59):
         assert part.grid.index_of(1.1 ** ell) == ell
 
@@ -128,6 +129,23 @@ def test_window_derivative_matches_oracle():
         assert abs(direct - ref) <= 1e-3 * max(1.0, abs(ref))
 
 
+def test_richardson_derivative_complex_fn():
+    # d^k/dx^k e(x) = (2 pi i)^k e(x) with e(x) = exp(2 pi i x)
+    def e(x):
+        return cmath.exp(2j * math.pi * x)
+
+    for k in range(1, 5):
+        for x in (0.3, 1.7):
+            got = richardson_derivative(e, x, k, 0.02)
+            want = (2j * math.pi) ** k * e(x)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= 1e-8 * abs(want)
+    # a real fn still gives a Python float
+    got = richardson_derivative(math.sin, 0.3, 2, 0.02)
+    assert type(got) is float
+    assert abs(got + math.sin(0.3)) <= 1e-9
+
+
 def test_window_derivative_growth_documented():
     # derivative sup norms grow no faster than (C j^2 / delta)^j
     w = make_bump(2.0, 0.2)
@@ -147,7 +165,7 @@ def test_derivatives_vanish_outside_support():
 
 
 def test_partition_members_cover_every_point():
-    part = make_partition(1.1, 1.0, 60)
+    part = make_partition(1.1, 60)
     x = 1.1 ** 12 * 1.04
     vals = [float(eval_member(part, 1.1 ** l, x)) for l in range(60)]
     assert abs(sum(vals) - 1.0) <= 1e-12
