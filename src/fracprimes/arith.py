@@ -234,7 +234,8 @@ def factor(n: int) -> FactoredInteger:
     fac: dict[int, int] = {}
     if m > 1:
         limit = math.isqrt(m)
-        for p in _trial_primes().tolist():
+        tp = _trial_primes()
+        for p in tp[:np.searchsorted(tp, limit, "right")].tolist():
             if p > limit:
                 break
             if m % p == 0:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 
-from .arith import euler_phi, primes_upto, sieve_primes, von_mangoldt_range
+from .arith import primes_upto, sieve_primes, von_mangoldt_range
 from .errors import AccuracyError, ArgumentError, ResourceLimitError
 from .smoothing import BumpWindow, eval_bump
 
@@ -315,13 +315,11 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
     total = 0.0
     for q in qs:
         counts = np.bincount(pe % q, minlength=q)
-        expected = pi_I / euler_phi(q)
-        worst_a, worst = -1, -1.0
-        for a in range(1, q):
-            if math.gcd(a, q) == 1:
-                dev = abs(float(counts[a]) - expected)
-                if dev > worst:
-                    worst_a, worst = a, dev
+        coprime = np.gcd(np.arange(q), q) == 1
+        dev = np.abs(counts - pi_I / np.count_nonzero(coprime))
+        # argmax takes the smallest a attaining the maximum
+        worst_a = int(np.argmax(np.where(coprime, dev, -1.0)))
+        worst = float(dev[worst_a])
         rows.append((q, worst_a, worst))
         total += worst
     return DiscrepancyReport(X=X, Q=Q, alpha=win.alpha, c=win.c, d=win.d,

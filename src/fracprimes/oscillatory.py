@@ -4,7 +4,7 @@ Four layers, bottom up:
 
 * `quad_osc` — adaptive Gauss-Legendre panel quadrature for w(t) e(g(t)),
   with panels capped at half an oscillation and split at stationary points;
-  it is the numerical oracle everything else is checked against.
+  `_shared_s_integrals` refines one such grid for all I(s) of a Poisson check.
 * `nonstationary_bound` — the integration-by-parts tail bound
   J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) for phases whose
   derivative stays away from zero on the window.
@@ -208,21 +208,20 @@ def _phase_circle(g_vals: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(g_vals, 1.0))
 
 
-def _panel_values(wfn, phase: PhaseModel, edges: np.ndarray) -> np.ndarray:
-    """GL-15 value of the integral on each [edges[i], edges[i+1]]."""
+def _gl_nodes(edges: np.ndarray):
+    """GL-15 nodes on each [edges[i], edges[i+1]], and the half widths."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * _GL_X[None, :]
+    return mid[:, None] + half[:, None] * _GL_X[None, :], half
+
+
+def _panel_values(wfn, phase: PhaseModel, edges: np.ndarray) -> np.ndarray:
+    """GL-15 value of the integral on each [edges[i], edges[i+1]]."""
+    t, half = _gl_nodes(edges)
     flat = t.ravel()
     vals = (np.asarray(wfn(flat), dtype=np.complex128)
             * _phase_circle(phase.g(flat))).reshape(t.shape)
     return (vals * _GL_W[None, :]).sum(axis=1) * half
-
-
-def _split_at_stationary(phase: PhaseModel, a: float, b: float) -> list[float]:
-    pts = _stationary_candidates(phase, a, b)
-    cuts = sorted({a, b, *pts})
-    return [c for c in cuts if a <= c <= b]
 
 
 def _stationary_candidates(phase: PhaseModel, a: float, b: float) -> list[float]:
@@ -257,6 +256,56 @@ def _stationary_candidates(phase: PhaseModel, a: float, b: float) -> list[float]
     return merged
 
 
+def _subdivide(edges: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Split panel i into need[i] equal pieces; point k is edges[i] +
+    k * ((edges[i+1] - edges[i]) / need[i]), as np.linspace computes it."""
+    step = np.repeat((edges[1:] - edges[:-1]) / need, need)
+    k = np.arange(len(step)) - np.repeat(np.cumsum(need) - need, need)
+    return np.append(np.repeat(edges[:-1], need) + k * step, edges[-1])
+
+
+def _budget_edges(edges: np.ndarray, speed, max_panels: int) -> np.ndarray:
+    """Subdivide until width * speed <= 0.5 on every panel (half an
+    oscillation when speed bounds |g'|), speed sampled at ends and middle."""
+    for _ in range(64):
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        width = edges[1:] - edges[:-1]
+        speeds = np.maximum.reduce([speed(x) for x in (edges[:-1], mid, edges[1:])])
+        need = np.ceil(np.sqrt(np.maximum(width * speeds / 0.5, 1.0))).astype(int)
+        # sqrt: split gradually; large factors converge in a few sweeps
+        if np.all(need <= 1):
+            break
+        if len(edges) * 2 > max_panels:
+            raise AccuracyError("oscillation budget needs too many panels",
+                                value=None, error_estimate=None)
+        edges = _subdivide(edges, need)
+    return edges
+
+
+def _refine(edges: np.ndarray, measure, tol: float, max_panels: int,
+            max_rounds: int):
+    """Two-level refinement: measure(edges, half_edges) gives (value, err,
+    panel_err); bisect panels with panel_err > tol / panels until err <=
+    tol.  Returns (value, err, nodes)."""
+    nodes = 0
+    for _ in range(max_rounds):
+        half_edges = np.empty(2 * len(edges) - 1)
+        half_edges[0::2] = edges
+        half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
+        value, total_err, err = measure(edges, half_edges)
+        nodes += _SQRT_GL * (len(edges) - 1 + len(half_edges) - 1)
+        if total_err <= tol:
+            return value, total_err, nodes
+        if 2 * len(edges) > max_panels:
+            break
+        bad = err > tol / max(len(err), 1)
+        keep = np.ones(len(half_edges), dtype=bool)
+        keep[1::2] = bad          # keep midpoints only where needed
+        edges = half_edges[keep]
+    raise AccuracyError(f"no convergence to tol={tol}", value=value,
+                        error_estimate=total_err)
+
+
 def quad_osc(w: WindowModel, g: PhaseModel, J=None, tol: float = 1e-9,
              max_panels: int = 400_000, max_rounds: int = 30) -> OscIntegralResult:
     """Adaptive panel quadrature of int w(t) e(g(t)) dt over J.
@@ -273,50 +322,70 @@ def quad_osc(w: WindowModel, g: PhaseModel, J=None, tol: float = 1e-9,
     if not b > a:
         return OscIntegralResult(value=0j, method="quadrature",
                                  error_estimate=0.0, terms_used=0)
+    # seed the panels at the stationary points, all inside (a, b)
+    edges = _budget_edges(np.array(sorted({a, b, *_stationary_candidates(g, a, b)})),
+                          lambda x: np.abs(np.asarray(g.dg(x, 1), dtype=float)),
+                          max_panels)
 
-    edges = np.array(_split_at_stationary(g, a, b), dtype=float)
-    # oscillation budget: |g'| * width <= 0.5 per panel
-    for _ in range(64):
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        width = edges[1:] - edges[:-1]
-        speeds = np.maximum.reduce([np.abs(np.asarray(g.dg(x, 1), dtype=float))
-                                    for x in (edges[:-1], mid, edges[1:])])
-        need = np.ceil(np.sqrt(np.maximum(width * speeds / 0.5, 1.0))).astype(int)
-        # sqrt: split gradually; large factors converge in a few sweeps
-        if np.all(need <= 1):
-            break
-        if len(edges) * 2 > max_panels:
-            raise AccuracyError("oscillation budget needs too many panels",
-                                value=None, error_estimate=None)
-        pieces = [np.linspace(edges[i], edges[i + 1], need[i] + 1)[:-1]
-                  for i in range(len(width))]
-        edges = np.append(np.concatenate(pieces), edges[-1])
-
-    nodes = 0
-    for _ in range(max_rounds):
-        coarse = _panel_values(w, g, edges)
-        half_edges = np.empty(2 * len(edges) - 1)
-        half_edges[0::2] = edges
-        half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
+    def measure(edges, half_edges):
         fine = _panel_values(w, g, half_edges)
         fine_pairs = fine[0::2] + fine[1::2]
-        err = np.abs(coarse - fine_pairs)
-        nodes += _SQRT_GL * (len(edges) - 1 + len(half_edges) - 1)
-        total_err = float(err.sum())
-        if total_err <= tol:
-            return OscIntegralResult(value=complex(fine_pairs.sum()),
-                                     method="quadrature",
-                                     error_estimate=total_err,
-                                     terms_used=nodes)
-        if 2 * len(edges) > max_panels:
-            break
-        bad = err > tol / max(len(err), 1)
-        keep = np.ones(len(half_edges), dtype=bool)
-        keep[1::2] = bad          # keep midpoints only where needed
-        edges = half_edges[keep]
-    raise AccuracyError(f"no convergence to tol={tol}",
-                        value=complex(fine_pairs.sum()),
-                        error_estimate=total_err)
+        err = np.abs(_panel_values(w, g, edges) - fine_pairs)
+        return complex(fine_pairs.sum()), float(err.sum()), err
+
+    value, err, nodes = _refine(edges, measure, tol, max_panels, max_rounds)
+    return OscIntegralResult(value=value, method="quadrature",
+                             error_estimate=err, terms_used=nodes)
+
+
+_BLOCK_PANELS = 1456   # 45 nodes each: ~1 MB per complex array of a block
+
+
+def _shared_s_integrals(w: WindowModel, phase_at, slope: float, ss,
+                        tol: float, max_panels: int = 400_000):
+    """I(s) = int w e(g_s) over [w.lo, w.hi] for each s in ss, on one grid.
+
+    e(g_s) = e(g_0) z^s with g_0 = phase_at(0) and z = e(-slope t), so w and
+    g_0 are evaluated once per node and each s costs a few products.  The
+    grid is seeded for the fastest phase, |g_0'| + |slope| max|s|; panels
+    are bisected where any s's coarse/fine discrepancy exceeds tol / panels
+    until each s's summed discrepancy is <= tol.  Panels go in blocks of
+    _BLOCK_PANELS.  Returns (values, errors, nodes), values/errors per s.
+    """
+    if tol < 1e-12:
+        raise ArgumentError(f"tol {tol} below supported floor 1e-12")
+    slot = {int(s): j for j, s in enumerate(ss)}
+    s_lo, s_hi = min(slot), max(slot)
+    g0 = phase_at(0)
+    lin = abs(slope) * max(-s_lo, s_hi)
+    edges = _budget_edges(np.array([w.lo, w.hi], dtype=float), lambda x: np.abs(
+        np.asarray(g0.dg(x, 1), dtype=float)) + lin, max_panels)
+
+    def measure(edges, half_edges):
+        vals, errs = np.zeros(len(slot), dtype=np.complex128), np.zeros(len(slot))
+        worst = np.zeros(len(edges) - 1)
+        for i in range(0, len(edges) - 1, _BLOCK_PANELS):
+            j = min(i + _BLOCK_PANELS, len(edges) - 1)
+            # each panel's 15 nodes, then 15 on each of its halves
+            t, half = _gl_nodes(edges[i:j + 1])
+            t_fine, h_fine = _gl_nodes(half_edges[2 * i:2 * j + 1])
+            t = np.hstack((t, t_fine.reshape(j - i, 2 * _SQRT_GL)))
+            base = (np.asarray(w(t), dtype=np.complex128)
+                    * _phase_circle(g0.g(t)) * np.tile(_GL_W, 3))
+            z, power = _phase_circle(-slope * t), _phase_circle(-slope * s_lo * t)
+            for s in range(s_lo, s_hi + 1):
+                if (k := slot.get(s)) is not None:
+                    part = (base * power).reshape(j - i, 3, _SQRT_GL).sum(axis=2)
+                    fine = part[:, 1] * h_fine[0::2] + part[:, 2] * h_fine[1::2]
+                    err = np.abs(part[:, 0] * half - fine)
+                    vals[k] += fine.sum()
+                    errs[k] += err.sum()
+                    np.maximum(worst[i:j], err, out=worst[i:j])
+                power *= z
+        return (vals, errs), float(errs.max()), worst
+
+    (vals, errs), _, nodes = _refine(edges, measure, tol, max_panels, 30)
+    return vals, errs, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +646,14 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     I(s) = int w e(g_s) over the support of w, g_s = phase_at(s).
 
     g_s is a lead term minus the linear term (num/den) s t; slope = (num,
-    den) stays a fraction so that num * s / den rounds like the first
-    kind's X s / (q u m n).  lead_peak bounds the lead term's derivative
-    and g_lead its size on the support.  v_width is the amplitude's
-    inverse-derivative scale, curv the size of g_s''.  Without a given
-    s_max the sum grows from ceil(T) + 4 until the tail bound beyond it
-    drops under tol/4; T < 1 means no s has a stationary point.
+    den) stays a fraction so that the tail bound's num * s / den rounds
+    like the first kind's X s / (q u m n).  lead_peak bounds the lead
+    term's derivative and g_lead its size on the support.  v_width is the
+    amplitude's inverse-derivative scale, curv the size of g_s''.  Without
+    a given s_max the sum grows from ceil(T) + 4 until the tail bound
+    beyond it drops under tol/4; T < 1 means no s has a stationary point.
+    meta["quad_err"] = |pref| sum_s |tau(chi; s)| err(s), err(s) the
+    shared grid's estimate for I(s).
     """
     q = len(gauss)
     lo, hi = wmodel.lo, wmodel.hi
@@ -620,17 +691,17 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     quad_err = 0.0
     if hi > lo:
         # phase-evaluation noise floors the achievable error estimate at
-        # ~ 2 pi eps |g|_max int|w|; never ask quad_osc for less than that
+        # ~ 2 pi eps |g|_max int|w|; never ask the quadrature for less
         g_peak = g_lead + num * s_max * hi / den
         floor = 2 * np.pi * 2.3e-16 * g_peak * (hi - lo) * max(amp_max, 1.0)
         qtol = max(quad_tol, 40 * floor)
-        for s in range(-s_max, s_max + 1):
-            tau_s = gauss[s % q]
-            if abs(tau_s) < 1e-13:
-                continue
-            res = quad_osc(wmodel, phase_at(s), (lo, hi), tol=qtol)
-            rhs += tau_s * res.value
-            quad_err += abs(tau_s) * res.error_estimate
+        ss = np.arange(-s_max, s_max + 1)
+        ss = ss[np.abs(gauss[ss % q]) >= 1e-13]
+        if len(ss):
+            vals, errs, _ = _shared_s_integrals(wmodel, phase_at, num / den,
+                                                ss, qtol)
+            rhs = complex(np.sum(gauss[ss % q] * vals))
+            quad_err = float(np.sum(np.abs(gauss[ss % q]) * errs))
     rhs *= pref
     quad_err *= abs(pref)
 

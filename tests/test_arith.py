@@ -57,6 +57,16 @@ def test_factor_reconstructs_and_is_sorted():
         assert list(f.factors) == sorted(f.factors)
 
 
+def test_factor_square_roots_at_the_trial_edge():
+    # the trial primes are cut at isqrt(n): p^2 needs p itself, and p q
+    # with q just past the trial range needs the cofactor path
+    p, q = 999_983, 1_000_003   # largest prime below 10^6, smallest above
+    assert factor(p * p).factors == ((p, 2),)
+    assert factor(p * q).factors == ((p, 1), (q, 1))
+    assert factor(4 * 999_979 * 999_983).factors == ((2, 2), (999_979, 1),
+                                                     (p, 1))
+
+
 @given(st.integers(min_value=2, max_value=50_000))
 @settings(max_examples=200, deadline=None)
 def test_factor_agrees_with_trial_division(n):

@@ -236,6 +236,33 @@ def test_bv_matches_naive_oracle():
         assert math.gcd(worst_a, q) == 1
 
 
+def test_bv_rows_match_gcd_loop_with_ties():
+    # few primes per class, so several coprime classes tie at the maximum;
+    # the row must name the smallest such a, as the per-a loop did
+    X, Q = 3000, 80
+    win = FracWindow(alpha=0.1, c=0.0, d=0.5)
+    rep = bv_discrepancy(X, Q, win)
+    pe = [p for p in primes_upto(X).tolist() if win.contains(p)]
+    rows, ties = [], 0
+    for q in range(2, Q + 1):
+        counts = [0] * q
+        for p in pe:
+            counts[p % q] += 1
+        expected = len(pe) / euler_phi(q)
+        worst_a, worst = -1, -1.0
+        for a in range(1, q):
+            if math.gcd(a, q) == 1:
+                dev = abs(float(counts[a]) - expected)
+                if dev > worst:
+                    worst_a, worst = a, dev
+        ties += sum(1 for a in range(worst_a + 1, q)
+                    if math.gcd(a, q) == 1
+                    and abs(float(counts[a]) - expected) == worst)
+        rows.append((q, worst_a, worst))
+    assert ties > 0
+    assert rep.per_q == tuple(rows)
+
+
 def test_bv_monotone_in_Q():
     win = FracWindow(alpha=0.1, c=0.0, d=0.5)
     t10 = bv_discrepancy(30000, 10, win).total

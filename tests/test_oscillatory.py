@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracprimes.oscillatory as osc
 from fracprimes.errors import (AccuracyError, ArgumentError,
                                StationaryPointError)
 from fracprimes.oscillatory import (alpha_constants, gaussian_phase,
@@ -407,3 +408,81 @@ def test_poisson_second_empty_window():
     # verifies through the non-stationary quadrature terms
     assert res.rel <= 1e-6
     assert abs(res.lhs) <= res.meta["amp_l1"]
+
+
+# ---------------------------------------------------------------------------
+# the shared s-grid behind both Poisson checks
+
+def test_subdivide_matches_linspace_pieces():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        edges = np.unique(rng.uniform(-50.0, 50.0, int(rng.integers(2, 40))))
+        if len(edges) < 2:
+            continue
+        need = rng.integers(1, 30, len(edges) - 1)
+        pieces = [np.linspace(edges[i], edges[i + 1], need[i] + 1)[:-1]
+                  for i in range(len(edges) - 1)]
+        expected = np.append(np.concatenate(pieces), edges[-1])
+        assert np.array_equal(osc._subdivide(edges, need), expected)
+
+
+def _captured_s_grid(monkeypatch, verify, **case):
+    """Run a Poisson check and capture the arguments of its shared-grid
+    call together with the per-s values and errors it returned."""
+    calls = []
+    real = osc._shared_s_integrals
+
+    def spy(w, phase_at, slope, ss, tol, **kw):
+        out = real(w, phase_at, slope, ss, tol, **kw)
+        calls.append(((w, phase_at, slope, list(ss), tol), out))
+        return out
+
+    monkeypatch.setattr(osc, "_shared_s_integrals", spy)
+    verify(**case)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _criterion6_cases():
+    # criterion 6's "first q=12 alpha=0.05" and "second q=12 alpha=0.05"
+    alpha, q, X = 0.05, 12, 10_000.0
+    first = dict(q=q, u=1, m=2, n=3, chi_index=1, alpha=alpha, X=X,
+                 window=BUMP, tol=1e-5,
+                 h=float(round(X ** (1 - alpha) / (alpha * q))))
+    h2 = 5035.0
+    second = dict(q=q, u=1, m=2, chi_index=1, h=h2, alpha=alpha, X=X,
+                  window=BUMP, tol=1e-5,
+                  s=max(1, round((alpha * h2 * q) ** 2 * 2
+                                 / (2 * X ** (1 - 2 * alpha)))))
+    return [(poisson_verify_first, first), (poisson_verify_second, second)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+def test_shared_grid_matches_per_s_quadrature(monkeypatch, which):
+    verify, case = _criterion6_cases()[which]
+    (w, phase_at, _, ss, tol), (vals, errs, _) = _captured_s_grid(
+        monkeypatch, verify, **case)
+    assert len(ss) > 10
+    for s, val, err in zip(ss, vals, errs):
+        ref = quad_osc(w, phase_at(s), (w.lo, w.hi), tol=tol)
+        assert err <= tol
+        assert abs(val - ref.value) <= err + ref.error_estimate, s
+
+
+def test_shared_grid_panel_cap_raises(monkeypatch):
+    verify, case = _criterion6_cases()[0]
+    (w, phase_at, slope, ss, tol), _ = _captured_s_grid(monkeypatch, verify,
+                                                        **case)
+    # the oscillation budget alone needs ~6,000 panels here
+    with pytest.raises(AccuracyError) as exc:
+        osc._shared_s_integrals(w, phase_at, slope, ss, tol, max_panels=64)
+    assert exc.value.value is None
+    # the refinement rounds honour the cap too, and report what they reached
+    with pytest.raises(AccuracyError) as exc:
+        osc._shared_s_integrals(w, phase_at, slope, ss, 1e-12,
+                                max_panels=10_000)
+    vals, errs = exc.value.value
+    assert len(vals) == len(errs) == len(ss)
+    assert exc.value.error_estimate == errs.max() > 1e-12
+    with pytest.raises(ArgumentError):
+        osc._shared_s_integrals(w, phase_at, slope, ss, 1e-13)
