@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from fracprimes.arith import sieve_primes
-from fracprimes.cli import emit_discrepancy_csv
+from fracprimes.arith import atomic_write, sieve_primes
+from fracprimes.cli import emit_csv
 from fracprimes.expsums import FracWindow, bv_discrepancy
 
 
@@ -48,16 +48,16 @@ def main(argv=None) -> int:
         lines.append(f"{X},{Q},{rep.total!r},{rep.pi_I},{pi},"
                      f"{rep.total / pi!r}")
         if args.detail_dir:
-            detail = emit_discrepancy_csv(
-                rep, {"X": X, "Q": Q, "alpha": args.alpha, "c": c, "d": d,
-                      "moduli": args.moduli})
-            path = f"{args.detail_dir}/bv_X{X}.csv"
-            with open(path, "w") as f:
-                f.write(detail)
+            detail = emit_csv(
+                "bv", {"X": X, "Q": Q, "alpha": args.alpha, "c": c, "d": d,
+                       "moduli": args.moduli},
+                ["q", "worst_a", "deviation"],
+                [*rep.per_q, ("total", None, rep.total)])
+            atomic_write(f"{args.detail_dir}/bv_X{X}.csv",
+                         detail.encode("utf-8"))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        atomic_write(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from fracprimes.cli import emit_expansion_error_csv
+from fracprimes.arith import atomic_write
+from fracprimes.cli import emit_csv
 from fracprimes.oscillatory import (gaussian_phase, quad_osc,
                                     stationary_expand, window_from_bump)
 from fracprimes.smoothing import make_bump
@@ -49,12 +50,12 @@ def main(argv=None) -> int:
         rel = abs(ex.value - qd.value) / abs(qd.value)
         rows.append((float(Y), qd.value.real, qd.value.imag,
                      ex.value.real, ex.value.imag, rel))
-    text = emit_expansion_error_csv(
-        rows, {"t0": args.t0, "y": args.y, "delta": args.delta,
-               "terms": args.terms, "tol": args.tol})
+    text = emit_csv(
+        "oscint-sweep", {"t0": args.t0, "y": args.y, "delta": args.delta,
+                         "terms": args.terms, "tol": args.tol},
+        ["Y", "quad_re", "quad_im", "exp_re", "exp_im", "rel_error"], rows)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        atomic_write(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

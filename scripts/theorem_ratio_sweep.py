@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from fracprimes.arith import sieve_primes
-from fracprimes.cli import emit_theorem_ratio_csv
+from fracprimes.arith import atomic_write, sieve_primes
+from fracprimes.cli import emit_csv
 from fracprimes.expsums import ExpSumSpec, exp_sum_primes
 
 
@@ -27,7 +27,6 @@ def main(argv=None) -> int:
     ap.add_argument("--h", type=int, default=1)
     ap.add_argument("--alpha", type=float, default=0.1)
     ap.add_argument("--Q", type=int, default=30)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
@@ -36,15 +35,15 @@ def main(argv=None) -> int:
     for q in range(1, args.Q + 1):
         spec = ExpSumSpec(X=args.X, Y=2 * args.X, h=args.h, alpha=args.alpha,
                           q=q, a=0 if q == 1 else 1)
-        res = exp_sum_primes(spec, table=table, threads=args.threads)
+        res = exp_sum_primes(spec, table=table)
         ratio = abs(res.value) * q / res.count if res.count else 0.0
         rows.append((q, abs(res.value), res.count, ratio))
-    text = emit_theorem_ratio_csv(
-        rows, {"X": args.X, "h": args.h, "alpha": args.alpha, "Q": args.Q,
-               "a": "1 (0 at q=1)"})
+    text = emit_csv(
+        "expsum-sweep", {"X": args.X, "h": args.h, "alpha": args.alpha,
+                         "Q": args.Q, "a": "1 (0 at q=1)"},
+        ["q", "abs_T", "count", "ratio"], rows)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        atomic_write(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

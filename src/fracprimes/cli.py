@@ -7,8 +7,8 @@ Design notes:
   every artifact echoes the effective configuration and the package
   version, so runs are reproducible from their own output.
 * Artifacts are written atomically (`arith.atomic_write`) and are
-  byte-identical across thread counts for a fixed (config, seed): timing
-  is reported on stderr and nulled in the canonical serialization.
+  byte-identical for a fixed (config, seed): timing is reported on stderr
+  and nulled in the canonical serialization.
 * Exit codes: 0 ok, 2 argument/config error, 3 invariant violation,
   4 resource/accuracy limit.
 """
@@ -29,9 +29,8 @@ import numpy as np
 
 from . import __version__
 from .arith import atomic_write, load_sieve, save_sieve, sieve_primes
-from .charkloost import (character_group, chi_values, gauss_sum, is_primitive,
-                         kloosterman, kloosterman_table, weil_bound,
-                         weil_margin_table)
+from .charkloost import (character_group, gauss_sum, is_primitive,
+                         kloosterman, kloosterman_table, weil_margin_table)
 from .decomp import (DyadicTuple, classify_dyadic, classify_exponents,
                      heath_brown_terms, hb_residual_scan)
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
@@ -45,6 +44,9 @@ from .oscillatory import (alpha_constants, gaussian_phase, make_first_phase,
 from .smoothing import make_bump, make_partition, partition_sum
 
 _DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
+# scalar config keys: each is a --flag and a config-file/--set key of this type
+_SCALAR_KEYS = {"alpha": float, "X": int, "Q": int, "q": int, "a": int,
+                "h": float, "threads": int, "seed": int}
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +142,8 @@ def config_from_args(args) -> RunConfig:
         elif key == "I" or key == "interval":
             fields["interval"] = tuple(float(x) for x in val) \
                 if isinstance(val, tuple) else _interval(val)
-        elif key in ("alpha", "h"):
-            fields[key] = float(val)
-        elif key in ("X", "Q", "q", "a", "threads", "seed"):
-            fields[key] = int(val)
+        elif key in _SCALAR_KEYS:
+            fields[key] = _SCALAR_KEYS[key](val)
         elif key in ("cache_path", "output"):
             fields[key] = str(val)
         else:
@@ -151,7 +151,7 @@ def config_from_args(args) -> RunConfig:
     fields["constants"] = constants
 
     # flag overrides win over the file
-    for name in ("alpha", "X", "Q", "q", "a", "h", "threads", "seed"):
+    for name in _SCALAR_KEYS:
         val = getattr(args, name, None)
         if val is not None:
             fields[name] = val
@@ -229,43 +229,21 @@ def record_from_json(text: str) -> ResultRecord:
 # ---------------------------------------------------------------------------
 # plot-data emission
 
-def _csv_text(comments: dict, header: list, rows: list) -> str:
-    lines = [f"# {k}={v}" for k, v in comments.items()]
+def emit_csv(command: str, params: dict, header: list, rows) -> str:
+    """Plot-ready CSV: `# key=value` comment lines for the command, the
+    version and the params (sorted by key), the header, then the rows.
+    Floats print as repr, None as an empty field."""
+    lines = [f"# command={command}", f"# version={__version__}"]
+    lines += [f"# {k}={params[k]}" for k in sorted(params)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def emit_discrepancy_csv(report, params: dict) -> str:
-    """Per-q worst-residue deviations, then the summed total row."""
-    comments = {"command": "bv", "version": __version__}
-    comments.update({k: params[k] for k in sorted(params)})
-    rows = [(q, a, dev) for q, a, dev in report.per_q]
-    rows.append(("total", None, report.total))
-    return _csv_text(comments, ["q", "worst_a", "deviation"], rows)
-
-
-def emit_theorem_ratio_csv(rows, params: dict) -> str:
-    """Columns q, abs_T, count, ratio with ratio = |T| * q / count."""
-    comments = {"command": "expsum-sweep", "version": __version__}
-    comments.update({k: params[k] for k in sorted(params)})
-    return _csv_text(comments, ["q", "abs_T", "count", "ratio"], rows)
-
-
-def emit_expansion_error_csv(rows, params: dict) -> str:
-    """Columns Y, quad_re, quad_im, exp_re, exp_im, rel_error."""
-    comments = {"command": "oscint-sweep", "version": __version__}
-    comments.update({k: params[k] for k in sorted(params)})
-    return _csv_text(comments,
-                     ["Y", "quad_re", "quad_im", "exp_re", "exp_im",
-                      "rel_error"], rows)
+    if v is None:
+        return ""
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -305,108 +283,85 @@ def _table_for(cfg: RunConfig, need_hi: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns a ResultRecord)
+# subcommand handlers: each returns (params, values, invariant_flags) and,
+# where the command has one, a csv/text body; `main` builds the record
 
 def _emit(rec: ResultRecord, args, cfg: RunConfig, body: str | None = None) -> None:
-    """Print the record (or a prepared text body) and write --out atomically."""
-    text = body if body is not None else record_to_json(rec, canonical=True)
-    sys.stdout.write(text)
+    """Print the body under --output csv when there is one, else the
+    canonical JSON record; write the same text to --out atomically."""
+    if body is None or cfg.output != "csv":
+        body = record_to_json(rec, canonical=True)
+    sys.stdout.write(body)
     if getattr(args, "out", None):
-        atomic_write(args.out, text.encode("utf-8"))
-    if rec.elapsed_ms is not None:
-        print(f"[{rec.command}] {rec.elapsed_ms:.1f} ms", file=sys.stderr)
+        atomic_write(args.out, body.encode("utf-8"))
+    print(f"[{rec.command}] {rec.elapsed_ms:.1f} ms", file=sys.stderr)
 
 
-def cmd_sieve(args, cfg: RunConfig) -> ResultRecord:
+def cmd_sieve(args, cfg: RunConfig):
     lo = args.lo if args.lo is not None else 2
     hi = args.hi if args.hi is not None else cfg.X + 1
-    t0 = time.perf_counter()
     table = sieve_primes(lo, hi)
     ps = table.primes()
-    rec = ResultRecord(
-        command="sieve", params={**cfg.echo(), "lo": lo, "hi": hi},
-        values={"count": int(table.count()),
-                "first": int(ps[0]) if len(ps) else None,
-                "last": int(ps[-1]) if len(ps) else None},
-        invariant_flags={}, elapsed_ms=1e3 * (time.perf_counter() - t0),
-        version=__version__)
-    return rec
+    return ({"lo": lo, "hi": hi},
+            {"count": int(table.count()),
+             "first": int(ps[0]) if len(ps) else None,
+             "last": int(ps[-1]) if len(ps) else None}, {})
 
 
-def cmd_cache(args, cfg: RunConfig) -> ResultRecord:
+def cmd_cache(args, cfg: RunConfig):
     n = int(float(args.build))
     if n < 3:
         raise ArgumentError(f"--build needs n >= 3, got {n}")
     path = os.path.join(cache_dir(cfg), f"primes_{n}.fpl")
-    t0 = time.perf_counter()
     table = sieve_primes(2, n)
     save_sieve(table, path)
-    return ResultRecord(
-        command="cache", params={**cfg.echo(), "build": n},
-        values={"path": path, "count": int(table.count()),
-                "bytes": os.path.getsize(path)},
-        invariant_flags={}, elapsed_ms=1e3 * (time.perf_counter() - t0),
-        version=__version__)
+    return ({"build": n}, {"path": path, "count": int(table.count()),
+                           "bytes": os.path.getsize(path)}, {})
 
 
-def cmd_count(args, cfg: RunConfig) -> ResultRecord:
+def cmd_count(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    t0 = time.perf_counter()
     table, cached = _table_for(cfg, cfg.X + 1)
     n = count_pi_I(cfg.X, q, a, win, table=table)
-    return ResultRecord(
-        command="count", params={**cfg.echo(), "q": q, "a": a},
-        values={"count": n},
-        invariant_flags={"cache_hit": cached},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+    return {"q": q, "a": a}, {"count": n}, {"cache_hit": cached}
 
 
-def cmd_expsum(args, cfg: RunConfig) -> ResultRecord:
+def cmd_expsum(args, cfg: RunConfig):
     Y = args.Y if args.Y is not None else 2 * cfg.X
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     spec = ExpSumSpec(X=cfg.X, Y=Y, h=cfg.h, alpha=cfg.alpha, q=q, a=a)
-    t0 = time.perf_counter()
     table, cached = _table_for(cfg, Y)
-    res = exp_sum_primes(spec, table=table, threads=cfg.threads)
-    return ResultRecord(
-        command="expsum", params={**cfg.echo(), "Y": Y, "q": q, "a": a},
-        values={"value": res.value, "abs": abs(res.value), "count": res.count,
-                "trivial_ratio": abs(res.value) / max(res.count, 1)},
-        invariant_flags={"in_scope": spec.in_scope(cfg.constants["C"]),
-                         "cache_hit": cached,
-                         "trivial_bound": abs(res.value) <= res.count + 1e-9},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+    res = exp_sum_primes(spec, table=table)
+    return ({"Y": Y, "q": q, "a": a},
+            {"value": res.value, "abs": abs(res.value), "count": res.count,
+             "trivial_ratio": abs(res.value) / max(res.count, 1)},
+            {"in_scope": spec.in_scope(cfg.constants["C"]),
+             "cache_hit": cached,
+             "trivial_bound": abs(res.value) <= res.count + 1e-9})
 
 
-def cmd_bv(args, cfg: RunConfig) -> ResultRecord:
+def cmd_bv(args, cfg: RunConfig):
     if cfg.Q is None:
         raise ArgumentError("bv requires --Q")
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    t0 = time.perf_counter()
     table, cached = _table_for(cfg, cfg.X + 1)
     report = bv_discrepancy(cfg.X, cfg.Q, win, table=table, moduli=args.moduli)
-    elapsed = 1e3 * (time.perf_counter() - t0)
-    params = {**cfg.echo(), "moduli": args.moduli}
-    rec = ResultRecord(
-        command="bv", params=params,
-        values={"total": report.total, "pi_I": report.pi_I,
-                "rows": [list(r) for r in report.per_q]},
-        invariant_flags={"cache_hit": cached},
-        elapsed_ms=elapsed, version=__version__)
-    if cfg.output == "csv":
-        body = emit_discrepancy_csv(
-            report, {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
-                     "I": f"{win.c},{win.d}", "moduli": args.moduli,
-                     "threads": cfg.threads, "seed": cfg.seed})
-        return rec, body
-    return rec
+    body = emit_csv(
+        "bv", {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
+               "I": f"{win.c},{win.d}", "moduli": args.moduli,
+               "threads": cfg.threads, "seed": cfg.seed},
+        ["q", "worst_a", "deviation"],
+        [*report.per_q, ("total", None, report.total)])
+    return ({"moduli": args.moduli},
+            {"total": report.total, "pi_I": report.pi_I,
+             "rows": [list(r) for r in report.per_q]},
+            {"cache_hit": cached}, body)
 
 
-def cmd_decompose_check(args, cfg: RunConfig) -> ResultRecord:
-    t0 = time.perf_counter()
+def cmd_decompose_check(args, cfg: RunConfig):
     if args.n is not None:
         terms = heath_brown_terms(args.n, k=args.k)
         lines = [f"n={args.n} k={args.k} V={terms.V} "
@@ -417,38 +372,27 @@ def cmd_decompose_check(args, cfg: RunConfig) -> ResultRecord:
         if len(terms.terms) > args.show:
             lines.append(f"  ... ({len(terms.terms) - args.show} more)")
         lines.append(f"total={terms.total():.12f}")
-        body = "\n".join(lines) + "\n"
-        rec = ResultRecord(
-            command="decompose-check", params={**cfg.echo(), "n": args.n,
-                                               "k": args.k},
-            values={"total": terms.total(), "n_terms": len(terms.terms)},
-            invariant_flags={},
-            elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-        return (rec, body) if cfg.output == "csv" else rec
+        return ({"n": args.n, "k": args.k},
+                {"total": terms.total(), "n_terms": len(terms.terms)}, {},
+                "\n".join(lines) + "\n")
     resid = hb_residual_scan(args.nmax, k=args.k)
     worst = int(np.argmax(resid[2:]) + 2)
-    rec = ResultRecord(
-        command="decompose-check",
-        params={**cfg.echo(), "nmax": args.nmax, "k": args.k},
-        values={"max_residual": float(resid[2:].max()), "argmax_n": worst,
-                "checked": args.nmax - 1},
-        invariant_flags={"exact_1e-9": bool(resid[2:].max() <= 1e-9)},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-    if cfg.output == "csv":
-        lines = [f"# nmax={args.nmax} k={args.k} threads={cfg.threads} "
-                 f"seed={cfg.seed}", "n,residual"]
-        lines.extend(f"{n},{resid[n]:.3e}" for n in range(2, args.nmax + 1))
-        return rec, "\n".join(lines) + "\n"
-    return rec
+    lines = [f"# nmax={args.nmax} k={args.k} threads={cfg.threads} "
+             f"seed={cfg.seed}", "n,residual"]
+    lines.extend(f"{n},{resid[n]:.3e}" for n in range(2, args.nmax + 1))
+    return ({"nmax": args.nmax, "k": args.k},
+            {"max_residual": float(resid[2:].max()), "argmax_n": worst,
+             "checked": args.nmax - 1},
+            {"exact_1e-9": bool(resid[2:].max() <= 1e-9)},
+            "\n".join(lines) + "\n")
 
 
-def cmd_classify(args, cfg: RunConfig) -> ResultRecord:
-    t0 = time.perf_counter()
+def cmd_classify(args, cfg: RunConfig):
     if args.dyadic:
         ds = tuple(float(x) for x in args.dyadic.split(","))
         dt = DyadicTuple(D=ds, X1=args.X1, Y1=args.Y1, eps1=args.eps1)
         witnesses = classify_dyadic(dt)
-        params = {**cfg.echo(), "D": list(ds), "X1": args.X1, "Y1": args.Y1,
+        params = {"D": list(ds), "X1": args.X1, "Y1": args.Y1,
                   "eps1": args.eps1}
     else:
         if not args.t:
@@ -456,63 +400,48 @@ def cmd_classify(args, cfg: RunConfig) -> ResultRecord:
         t_vals = tuple(float(x) for x in args.t.split(","))
         sigma = args.sigma if args.sigma is not None else 0.15
         witnesses = classify_exponents(t_vals, sigma)
-        params = {**cfg.echo(), "t": list(t_vals), "sigma": sigma}
+        params = {"t": list(t_vals), "sigma": sigma}
     if not witnesses:
         raise InvariantViolation("classifier returned no admissible type")
     lead = witnesses[0]
-    return ResultRecord(
-        command="classify", params=params,
-        values={"kind": lead.kind,
-                "witness": [list(part) for part in lead.witness],
-                "all_kinds": [w.kind for w in witnesses]},
-        invariant_flags={},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+    return (params,
+            {"kind": lead.kind,
+             "witness": [list(part) for part in lead.witness],
+             "all_kinds": [w.kind for w in witnesses]}, {})
 
 
-def cmd_kloosterman(args, cfg: RunConfig) -> ResultRecord:
+def cmd_kloosterman(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 5
-    t0 = time.perf_counter()
     if args.table:
         vals, imag_max = kloosterman_table(q)
         margins = weil_margin_table(q)
-        rec = ResultRecord(
-            command="kloosterman", params={**cfg.echo(), "q": q, "table": True},
-            values={"min_margin": float(margins.min()),
-                    "max_abs": float(np.abs(vals).max()),
-                    "imag_residual": float(imag_max)},
-            invariant_flags={"weil_ok": bool((margins >= -1e-9).all()),
-                             "real_ok": bool(imag_max <= 1e-8)},
-            elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-        return rec
+        return ({"q": q, "table": True},
+                {"min_margin": float(margins.min()),
+                 "max_abs": float(np.abs(vals).max()),
+                 "imag_residual": float(imag_max)},
+                {"weil_ok": bool((margins >= -1e-9).all()),
+                 "real_ok": bool(imag_max <= 1e-8)})
     kv = kloosterman(q, args.u, args.v)
-    return ResultRecord(
-        command="kloosterman",
-        params={**cfg.echo(), "q": q, "u": args.u, "v": args.v},
-        values={"value": kv.value, "weil_bound": kv.weil_bound,
-                "margin": kv.margin, "imag_residual": kv.imag_residual},
-        invariant_flags={"weil_ok": kv.margin >= -1e-9,
-                         "real_ok": kv.imag_residual <= 1e-10},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+    return ({"q": q, "u": args.u, "v": args.v},
+            {"value": kv.value, "weil_bound": kv.weil_bound,
+             "margin": kv.margin, "imag_residual": kv.imag_residual},
+            {"weil_ok": kv.margin >= -1e-9,
+             "real_ok": kv.imag_residual <= 1e-10})
 
 
-def cmd_gauss(args, cfg: RunConfig) -> ResultRecord:
+def cmd_gauss(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 7
-    t0 = time.perf_counter()
     table = character_group(q)
     idx = args.chi_index
     if not 0 <= idx < table.phi:
         raise ArgumentError(f"chi-index {idx} out of range [0, {table.phi})")
     val = gauss_sum(table, idx, args.s)
     prim = is_primitive(table, idx)
-    return ResultRecord(
-        command="gauss",
-        params={**cfg.echo(), "q": q, "chi_index": idx, "s": args.s},
-        values={"value": val, "abs": abs(val), "sqrt_q": math.sqrt(q)},
-        invariant_flags={"primitive": prim,
-                         "modulus_sqrt_q": bool(prim and args.s == 1
-                                                and abs(abs(val) - math.sqrt(q))
-                                                <= 1e-9)},
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+    return ({"q": q, "chi_index": idx, "s": args.s},
+            {"value": val, "abs": abs(val), "sqrt_q": math.sqrt(q)},
+            {"primitive": prim,
+             "modulus_sqrt_q": bool(prim and args.s == 1
+                                    and abs(abs(val) - math.sqrt(q)) <= 1e-9)})
 
 
 def _oscint_phase(args, cfg: RunConfig):
@@ -532,12 +461,11 @@ def _oscint_phase(args, cfg: RunConfig):
     return ph, dict(ph.params)
 
 
-def cmd_oscint(args, cfg: RunConfig) -> ResultRecord:
+def cmd_oscint(args, cfg: RunConfig):
     bump = make_bump(args.window_y, args.window_delta)
     w = window_from_bump(bump)
     phase, ph_params = _oscint_phase(args, cfg)
     J = _interval(args.J) if args.J else (w.lo, w.hi)
-    t0 = time.perf_counter()
     values, flags = {}, {}
     if args.method in ("quad", "both"):
         res = quad_osc(w, phase, J, tol=args.tol)
@@ -567,29 +495,21 @@ def cmd_oscint(args, cfg: RunConfig) -> ResultRecord:
         flags["expansion_within_band"] = bool(
             diff <= 10 * values["expansion_error_estimate"]
             + 10 * values["quad_error_estimate"] + 1e-12)
-    rec = ResultRecord(
-        command="oscint",
-        params={**cfg.echo(), "phase": args.phase, "method": args.method,
-                "window_y": args.window_y, "window_delta": args.window_delta,
-                "J": list(J), "n_terms": args.n_terms, "tol": args.tol,
-                **{f"phase_{k}": v for k, v in ph_params.items()}},
-        values=values, invariant_flags=flags,
-        elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-    return rec, record_to_json(rec, canonical=True)
+    return ({"phase": args.phase, "method": args.method,
+             "window_y": args.window_y, "window_delta": args.window_delta,
+             "J": list(J), "n_terms": args.n_terms, "tol": args.tol,
+             **{f"phase_{k}": v for k, v in ph_params.items()}},
+            values, flags)
 
 
-def cmd_level(args, cfg: RunConfig) -> ResultRecord:
+def cmd_level(args, cfg: RunConfig):
     val = level_of_distribution(cfg.alpha)
-    rec = ResultRecord(
-        command="level", params=cfg.echo(), values={"theta": val},
-        invariant_flags={"in_scope": 0 < cfg.alpha < 1 / 9},
-        elapsed_ms=None, version=__version__)
-    return (rec, f"{val:g}\n") if cfg.output == "csv" else rec
+    return ({}, {"theta": val}, {"in_scope": 0 < cfg.alpha < 1 / 9},
+            f"{val:g}\n")
 
 
-def cmd_selftest(args, cfg: RunConfig) -> ResultRecord:
+def cmd_selftest(args, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    t_start = time.perf_counter()
     checks: list[tuple[str, bool, str]] = []
 
     part = make_partition(1.05, 120)
@@ -653,15 +573,11 @@ def cmd_selftest(args, cfg: RunConfig) -> ResultRecord:
         n_fail += 0 if okflag else 1
     lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     body = "\n".join(lines) + "\n"
-    rec = ResultRecord(
-        command="selftest", params=cfg.echo(),
-        values={"passed": len(checks) - n_fail, "failed": n_fail},
-        invariant_flags={name: okflag for name, okflag, _ in checks},
-        elapsed_ms=1e3 * (time.perf_counter() - t_start), version=__version__)
     if n_fail:
         sys.stdout.write(body)
         raise InvariantViolation(f"{n_fail} selftest checks failed")
-    return rec, body
+    return ({}, {"passed": len(checks) - n_fail, "failed": n_fail},
+            {name: okflag for name, okflag, _ in checks}, body)
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +587,9 @@ def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config key (repeatable)")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--X", type=int)
-    sp.add_argument("--Q", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--h", type=float)
+    for name, cast in _SCALAR_KEYS.items():
+        sp.add_argument(f"--{name}", type=cast)
     sp.add_argument("--I", help="fractional-part interval 'c,d'")
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--cache", help="prime cache directory")
     sp.add_argument("--output", choices=("csv", "json"))
     sp.add_argument("--out", help="also write the artifact to this file")
@@ -788,12 +698,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        result = args.func(args, cfg)
-        if isinstance(result, tuple):
-            rec, body = result
-        else:
-            rec, body = result, None
-        _emit(rec, args, cfg, body)
+        t0 = time.perf_counter()
+        params, values, flags, *body = args.func(args, cfg)
+        rec = ResultRecord(
+            command=args.command, params={**cfg.echo(), **params},
+            values=values, invariant_flags=flags,
+            elapsed_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+        _emit(rec, args, cfg, *body)
         return 0
     except ArgumentError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,15 +9,14 @@ precision comes from private mpmath contexts (`mp_context`), never from
 switching the process-global `mpmath.mp`, so the reductions are thread-safe.
 
 All complex accumulations go through `block_sum`, which reduces fixed
-2**16-element blocks in index order; thread pools only compute block
-partials, so results are byte-identical across thread counts.
+2**16-element blocks in index order, so results are byte-identical for a
+fixed input.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -90,17 +89,12 @@ def unit_phases(h, ns: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(2j * np.pi * reduced_phase_array(h, ns, alpha))
 
 
-def block_sum(values: np.ndarray, threads: int = 1) -> complex:
+def block_sum(values: np.ndarray) -> complex:
     """Deterministic reduction: fixed blocks, partials combined in order."""
     n = len(values)
     if n == 0:
         return 0j
-    blocks = range(0, n, BLOCK)
-    if threads <= 1:
-        partials = [np.sum(values[i : i + BLOCK]) for i in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(ex.map(lambda i: np.sum(values[i : i + BLOCK]), blocks))
+    partials = [np.sum(values[i : i + BLOCK]) for i in range(0, n, BLOCK)]
     total = partials[0]
     for p in partials[1:]:
         total = total + p
@@ -236,7 +230,7 @@ def _primes_for_range(lo: int, hi: int, table=None) -> np.ndarray:
     return sieve_primes(lo, hi).primes()
 
 
-def exp_sum_primes(spec: ExpSumSpec, table=None, threads: int = 1) -> SumResult:
+def exp_sum_primes(spec: ExpSumSpec, table=None) -> SumResult:
     """T = sum over primes X <= p < Y with p = a (q) of e(h p^alpha)."""
     ps = _primes_for_range(spec.X, spec.Y, table)
     if spec.q > 1:
@@ -244,11 +238,11 @@ def exp_sum_primes(spec: ExpSumSpec, table=None, threads: int = 1) -> SumResult:
     if len(ps) == 0:
         return SumResult(value=0j, count=0)
     vals = unit_phases(spec.h, ps, spec.alpha)
-    return SumResult(value=block_sum(vals, threads=threads), count=int(len(ps)))
+    return SumResult(value=block_sum(vals), count=int(len(ps)))
 
 
-def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow, table=None,
-                   threads: int = 1) -> WeightedSumResult:
+def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow,
+                   table=None) -> WeightedSumResult:
     """Lambda-weighted smoothed sum sum_n psi(n/X) Lambda(n) e(h n^alpha)
     over n = a (q), next to its sharp-cutoff counterpart for the same data.
 
@@ -272,9 +266,9 @@ def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow, table=None,
         return WeightedSumResult(value=0j, sharp=0j, count=0)
     phases = unit_phases(spec.h, ns, spec.alpha)
     smooth_w = eval_bump(window, ns / spec.X)
-    value = block_sum(lamv * smooth_w * phases, threads=threads)
+    value = block_sum(lamv * smooth_w * phases)
     sharp_mask = (ns >= spec.X) & (ns < spec.Y)
-    sharp = block_sum((lamv * phases)[sharp_mask], threads=threads)
+    sharp = block_sum((lamv * phases)[sharp_mask])
     return WeightedSumResult(value=value, sharp=sharp,
                              count=int(np.count_nonzero(smooth_w * lamv)))
 

@@ -128,6 +128,14 @@ def test_selftest_passes(capsys):
     assert code == 0
 
 
+def test_selftest_json(capsys):
+    code, out, _ = run_cli(capsys, ["selftest", "--output", "json"])
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.command == "selftest"
+    assert rec.values["failed"] == 0
+
+
 # ---------------------------------------------------------------------------
 # record serialization
 
