@@ -38,15 +38,12 @@ def main(argv=None) -> int:
     win = FracWindow(alpha=args.alpha, c=c, d=d)
     xs = [int(float(t)) for t in args.xs.split(",")]
 
-    lines = [f"# command=bv-trend alpha={args.alpha} I=[{c},{d}) "
-             f"qexp={args.qexp} moduli={args.moduli}",
-             "X,Q,D,pi_I,pi,ratio"]
+    rows = []
     for X in xs:
         Q = int(X ** args.qexp)
         rep = bv_discrepancy(X, Q, win, moduli=args.moduli)
         pi = sieve_primes(2, X + 1).count()
-        lines.append(f"{X},{Q},{rep.total!r},{rep.pi_I},{pi},"
-                     f"{rep.total / pi!r}")
+        rows.append((X, Q, rep.total, rep.pi_I, pi, rep.total / pi))
         if args.detail_dir:
             detail = emit_csv(
                 "bv", {"X": X, "Q": Q, "alpha": args.alpha, "c": c, "d": d,
@@ -55,7 +52,9 @@ def main(argv=None) -> int:
                 [*rep.per_q, ("total", None, rep.total)])
             atomic_write(f"{args.detail_dir}/bv_X{X}.csv",
                          detail.encode("utf-8"))
-    text = "\n".join(lines) + "\n"
+    text = emit_csv("bv-trend", {"alpha": args.alpha, "I": f"[{c},{d})",
+                                 "qexp": args.qexp, "moduli": args.moduli},
+                    ["X", "Q", "D", "pi_I", "pi", "ratio"], rows)
     if args.out:
         atomic_write(args.out, text.encode("utf-8"))
     else:

@@ -377,14 +377,15 @@ def cmd_decompose_check(args, cfg: RunConfig):
                 "\n".join(lines) + "\n")
     resid = hb_residual_scan(args.nmax, k=args.k)
     worst = int(np.argmax(resid[2:]) + 2)
-    lines = [f"# nmax={args.nmax} k={args.k} threads={cfg.threads} "
-             f"seed={cfg.seed}", "n,residual"]
-    lines.extend(f"{n},{resid[n]:.3e}" for n in range(2, args.nmax + 1))
+    body = emit_csv(
+        "decompose-check", {"nmax": args.nmax, "k": args.k,
+                            "threads": cfg.threads, "seed": cfg.seed},
+        ["n", "residual"],
+        [(n, f"{resid[n]:.3e}") for n in range(2, args.nmax + 1)])
     return ({"nmax": args.nmax, "k": args.k},
             {"max_residual": float(resid[2:].max()), "argmax_n": worst,
              "checked": args.nmax - 1},
-            {"exact_1e-9": bool(resid[2:].max() <= 1e-9)},
-            "\n".join(lines) + "\n")
+            {"exact_1e-9": bool(resid[2:].max() <= 1e-9)}, body)
 
 
 def cmd_classify(args, cfg: RunConfig):
@@ -574,7 +575,8 @@ def cmd_selftest(args, cfg: RunConfig):
     lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     body = "\n".join(lines) + "\n"
     if n_fail:
-        sys.stdout.write(body)
+        if cfg.output == "csv":
+            sys.stdout.write(body)
         raise InvariantViolation(f"{n_fail} selftest checks failed")
     return ({}, {"passed": len(checks) - n_fail, "failed": n_fail},
             {name: okflag for name, okflag, _ in checks}, body)

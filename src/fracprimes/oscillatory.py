@@ -30,7 +30,8 @@ import numpy as np
 from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
-from .expsums import REDUCTION_THRESHOLD, mp_context, reduced_phase_array
+from .expsums import (REDUCTION_THRESHOLD, _anchored_frac, mp_context,
+                      reduced_phase_array)
 from .smoothing import (BumpWindow, eval_bump, eval_member, make_partition,
                         richardson_derivative)
 
@@ -895,11 +896,10 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     ph = np.mod(phi_vals, 1.0)
     if np.any(big):
         a = _MP60.mpf(alpha)
-        sc = (1 - a) * (a ** alpha * h) ** (1 / (1 - a))
         ex = a / (1 - a)
-        for i in np.flatnonzero(big):
-            val = sc * _MP60.power(q * u * m * int(ns[i]), ex) / _MP60.power(s, ex)
-            ph[i] = float(_MP60.frac(val) % 1)
+        sc = (1 - a) * (a ** alpha * h) ** (1 / (1 - a))
+        ph[big] = _anchored_frac(sc * _MP60.power(_MP60.mpf(q * u * m) / s, ex),
+                                 ns[big], ex)
     lhs = complex(np.sum(chiv[ns % q] * amp * np.exp(2j * np.pi * ph)))
 
     # ----- rhs: sigma-sum of transformed integrals --------------------------

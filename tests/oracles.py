@@ -305,9 +305,10 @@ def quad_oracle(w_fn, g_fn, lo, hi, dps=30, maxdegree=12) -> complex:
         return complex(val)
 
 
-def reduced_phase_oracle(h, n, alpha) -> float:
+def reduced_phase_oracle(h, n, alpha, shift=0.0) -> float:
     with mpmath.workdps(60):
-        return float(mpmath.frac(mpmath.mpf(h) * mpmath.power(int(n), alpha)))
+        return float(mpmath.frac(mpmath.mpf(h) * mpmath.power(
+            int(n) + mpmath.mpf(shift), alpha)))
 
 
 def bump_oracle(y, delta, x, j=0, dps=40) -> float:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from fracprimes import cli
@@ -47,6 +48,8 @@ def test_bv_golden_csv(capsys):
 def test_decompose_check_csv(capsys):
     code, out, _ = run_cli(capsys, ["decompose-check", "--nmax", "200"])
     assert code == 0
+    assert out.splitlines()[:2] == ["# command=decompose-check",
+                                    f"# version={cli.__version__}"]
     lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == "n,residual"
     rows = [ln.split(",") for ln in lines[1:]]
@@ -134,6 +137,15 @@ def test_selftest_json(capsys):
     rec = record_from_json(out)
     assert rec.command == "selftest"
     assert rec.values["failed"] == 0
+
+
+def test_selftest_failure_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "weil_margin_table", lambda q: -np.ones((q, q)))
+    code, out, err = run_cli(capsys, ["selftest", "--output", "json"])
+    assert code == 3
+    assert "selftest checks failed" in err
+    if out:
+        json.loads(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, BilinearResult,
                                 ExpSumSpec, FracWindow, MonomialPhase,
                                 bilinear_sum, block_sum,
                                 bv_discrepancy, count_pi_I, exp_sum_primes,
-                                level_of_distribution, phase_sum,
+                                _reduce_monomial, level_of_distribution,
+                                phase_sum,
                                 reduced_phase, reduced_phase_array,
                                 tau_moment_constant, vdc_bound,
                                 weighted_sum_W)
@@ -99,7 +100,8 @@ def test_reduced_phase_matches_extended_precision():
 
 
 def test_reduced_phase_large_argument():
-    # h * n^alpha far above 2^40 forces the double-double path
+    # h * n^alpha far above 2^40: the integer part leaves float64 no
+    # fractional digits, so only the anchored tier gets these right
     for n, h, alpha in [(10 ** 15, 1000, 0.95), (10 ** 13, 10 ** 6, 0.9)]:
         assert h * n ** alpha > 2 ** 40
         got = reduced_phase(h, n, alpha)
@@ -142,6 +144,87 @@ def test_phase_reduction_is_thread_safe():
     for k, got in enumerate(results):
         assert np.array_equal(got, serial[k % len(jobs)])
     assert mpmath.mp.prec == prec
+
+
+def _circle_error(got, h, ns, alpha, shift=0.0) -> float:
+    want = np.array([oracles.reduced_phase_oracle(h, n, alpha, shift)
+                     for n in ns])
+    return float(np.max(np.abs(np.exp(2j * np.pi * np.asarray(got))
+                               - np.exp(2j * np.pi * want))))
+
+
+def test_anchored_tier_meets_the_oracle():
+    # n up to 2^48, alpha across (0, 1), h up to (log X)^5 = 4.1e7 at
+    # X = 2^48, with and without a shift; each case mixes scattered n (one
+    # anchor each) with a contiguous run (many offsets per anchor)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for n_mid in (10 ** 4, 10 ** 6, 10 ** 9, 2 ** 40, 2 ** 48):
+        for alpha in (0.05, 0.3, 0.5, 0.7, 0.9, 0.97):
+            for h in (1.0, 3e3, 1.6e7, 4.1e7):
+                for shift in (0.0, 0.37):
+                    ns = np.concatenate([
+                        n_mid + rng.integers(-n_mid // 8, n_mid // 8, 24),
+                        np.arange(n_mid - 20, n_mid + 20)])
+                    got = _reduce_monomial(h, ns, alpha, shift)
+                    worst = max(worst, _circle_error(got, h, ns, alpha, shift))
+    assert worst <= 1e-10
+
+
+def test_anchored_tier_unsorted_with_repeats():
+    # bilinear_sum's mn.ravel(): unsorted, every product of a 40 x 40 block,
+    # many of them repeated
+    ms, ns = np.arange(960, 1000), np.arange(1130, 1170)
+    mn = (ms[:, None] * ns[None, :]).ravel()
+    assert len(np.unique(mn)) < len(mn) and np.any(np.diff(mn) < 0)
+    h, alpha = 7, 0.8
+    got = reduced_phase_array(h, mn, alpha)
+    assert np.all(np.abs(h * mn.astype(float) ** alpha) > REDUCTION_THRESHOLD)
+    pick = np.random.default_rng(3).choice(len(mn), 300, replace=False)
+    assert _circle_error(got[pick], h, mn[pick], alpha) <= 1e-10
+    # each element's value depends on that element alone
+    order = np.argsort(mn, kind="stable")
+    assert np.array_equal(got[order], reduced_phase_array(h, mn[order], alpha))
+
+
+def test_anchored_tier_negative_and_zero_h():
+    ns = np.arange(10 ** 6, 10 ** 6 + 3000, 7)
+    plus = reduced_phase_array(5000, ns, 0.9)
+    minus = reduced_phase_array(-5000, ns, 0.9)
+    assert _circle_error(minus, -5000, ns, 0.9) <= 1e-10
+    assert np.max(np.abs(np.exp(2j * np.pi * (plus + minus)) - 1.0)) <= 1e-10
+    assert np.array_equal(reduced_phase_array(0, ns, 0.9), np.zeros(len(ns)))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25, 0.5, 0.999])
+def test_anchored_tier_shift(shift):
+    ns = np.arange(4000, 4600)
+    got = _reduce_monomial(2.0e4, ns, 0.45, shift)
+    assert _circle_error(got, 2.0e4, ns, 0.45, shift) <= 1e-10
+
+
+def test_anchored_tier_span_collapses_to_one():
+    # just above the threshold at n < 128 the span cap n/64 leaves D = 1:
+    # every n is its own 50-digit anchor, with no expansion at all
+    h, alpha = 900.0, 0.6
+    ns = np.arange(13, 128)
+    assert np.all(h * ns ** alpha > REDUCTION_THRESHOLD)
+    assert h * 12 ** alpha <= REDUCTION_THRESHOLD
+    got = reduced_phase_array(h, ns, alpha)
+    want = [oracles.reduced_phase_oracle(h, n, alpha) for n in ns]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_float_tier_unchanged_in_mixed_array():
+    h, alpha, shift = 40.0, 0.7, 0.3
+    ns = np.random.default_rng(9).permutation(np.arange(1, 30000, 3))
+    got = _reduce_monomial(h, ns, alpha, shift)
+    w = h * np.power(ns + shift, alpha)
+    small = np.abs(w) <= REDUCTION_THRESHOLD
+    assert 0 < np.count_nonzero(small) < len(ns)
+    assert np.array_equal(got[small], np.mod(w, 1.0)[small])
+    assert _circle_error(got[~small][:400], h, ns[~small][:400], alpha,
+                         shift) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ def test_bv_trend_with_detail(tmp_path):
     assert load("bv_trend").main(
         ["--xs", "1e4", "--detail-dir", str(tmp_path), "--out", str(out)]) == 0
     assert csv_lines(out) == [
-        "# command=bv-trend alpha=0.1 I=[0.0,0.5) qexp=0.3 moduli=all",
+        "# command=bv-trend", f"# version={__version__}", "# I=[0.0,0.5)",
+        "# alpha=0.1", "# moduli=all", "# qexp=0.3",
         "X,Q,D,pi_I,pi,ratio",
         "10000,15,63.266666666666694,1024,1229,0.05147816653105508"]
     lines = csv_lines(tmp_path / "bv_X10000.csv")
