@@ -341,7 +341,6 @@ def unit_inverses(q: int) -> np.ndarray:
     """Array inv[l] with l*inv[l] == 1 mod q for units, and -1 elsewhere."""
     if q < 1:
         raise ArgumentError(f"modulus must be >= 1, got {q}")
-    ls = np.arange(q, dtype=np.int64)
     out = np.full(q, -1, dtype=np.int64)
     for l in range(1, q):
         if math.gcd(l, q) == 1:
@@ -398,26 +397,44 @@ def smallest_factor_range(nmax: int) -> np.ndarray:
 
 
 def mobius_range(nmax: int) -> np.ndarray:
-    """mu[n] for 0 <= n <= nmax as int8 (mu[0] = 0)."""
-    spf = smallest_factor_range(nmax)
-    mu = np.zeros(nmax + 1, dtype=np.int8)
-    mu[1] = 1
-    for n in range(2, nmax + 1):
-        p = spf[n]
-        m = n // p
-        mu[n] = 0 if m % p == 0 else -mu[m]
+    """mu[n] for 0 <= n <= nmax as int8 (mu[0] = 0).
+
+    Sieves by the primes p <= sqrt(nmax): each flips the sign of its
+    multiples, zeroes the multiples of p^2 and multiplies into prod[n].  A
+    squarefree n with prod[n] != n has exactly one prime factor above
+    sqrt(nmax) left, which flips the sign once more.
+    """
+    if nmax < 1:
+        raise ArgumentError(f"need nmax >= 1, got {nmax}")
+    mu = np.ones(nmax + 1, dtype=np.int8)
+    prod = np.ones(nmax + 1, dtype=np.int64)
+    for p in primes_upto(math.isqrt(nmax)).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        prod[p::p] *= p
+    mu[(mu != 0) & (prod != np.arange(nmax + 1))] *= -1
+    mu[0] = 0
     return mu
 
 
 def von_mangoldt_range(nmax: int) -> np.ndarray:
-    """Lambda[n] for 0 <= n <= nmax as float64."""
-    spf = smallest_factor_range(nmax)
+    """Lambda[n] for 0 <= n <= nmax as float64.
+
+    log p is math.log at each prime (np.log can differ in the last bit),
+    converted 4096 primes at a time so that no Python list of every log is
+    built, then copied to every p^k <= nmax.
+    """
+    if nmax < 1:
+        raise ArgumentError(f"need nmax >= 1, got {nmax}")
     lam = np.zeros(nmax + 1, dtype=np.float64)
-    for n in range(2, nmax + 1):
-        p = int(spf[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            lam[n] = math.log(p)
+    ps = primes_upto(nmax)
+    for i in range(0, len(ps), 4096):
+        chunk = ps[i : i + 4096]
+        lam[chunk] = np.fromiter(map(math.log, chunk.tolist()),
+                                 dtype=np.float64, count=len(chunk))
+    for p in ps[: np.searchsorted(ps, math.isqrt(nmax), "right")].tolist():
+        pk = p * p
+        while pk <= nmax:
+            lam[pk] = lam[p]
+            pk *= p
     return lam

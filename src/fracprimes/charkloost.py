@@ -6,9 +6,11 @@ splits as <-1> x <5>.  Each character is an integer exponent vector against
 the component generators; evaluation is a dot product with precomputed
 discrete logs, so chi(n) costs O(#generators) inside hot loops.
 
-Kloosterman sums are evaluated directly over units (O(q)); the all-(u,v)
-table for a fixed q comes from a single 2-D FFT of the inverse-permutation
-matrix, which is what makes the exhaustive Weil-bound sweeps cheap.
+Kloosterman sums are evaluated directly over units (O(q)).  The all-(u,v)
+table for a fixed q gathers every unit row from the one unit row
+K[w] = S_q(1, w), a single length-q FFT, since S_q(u, v) = S_q(1, uv) for
+units u; only the non-unit rows (row 0 alone for prime q) get a length-q FFT
+of their own.  That keeps the exhaustive Weil-bound sweeps cheap.
 """
 
 from __future__ import annotations
@@ -266,27 +268,34 @@ def weil_margin(q: int, u: int, v: int) -> float:
 
 
 def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
-    """All S_q(u, v) for (u, v) in [0, q)^2 via one FFT.
+    """All S_q(u, v) for (u, v) in [0, q)^2 from one batch of length-q FFTs.
 
-    With B[l, l^{-1}] = 1 on units, fft2(B)[u, v] = sum_l e(-(ul + v l*)/q)
-    = conj(S_q(u, v)); the sums are real, so the real part of the FFT is the
-    whole table.  Returns (values, max |imag| seen) so callers can check
-    realness.
+    For a unit u, S_q(u, v) = S_q(1, uv) (substitute l -> l u^{-1}), so the
+    unit rows are gathered from the unit row K[w] = S_q(1, w).  A row u is
+    the FFT along v of x_u[l^{-1}] = e(-u l / q) over units l, which gives
+    sum_l e(-(u l + v l^{-1})/q) = conj(S_q(u, v)); that FFT is taken for
+    u = 1 and for the non-units u only (for prime q, u = 0, where the row is
+    the Ramanujan sums).  The sums are real, so the real parts are the
+    table.  Returns (values, max |imag| seen) so callers can check realness.
     """
     if q < 2:
         raise ArgumentError(f"need q >= 2, got {q}")
     inv = unit_inverses(q)
-    B = np.zeros((q, q), dtype=np.float64)
     ls = np.flatnonzero(inv >= 0)
-    B[ls, inv[ls]] = 1.0
-    F = np.fft.fft2(B)
-    return np.real(F), float(np.max(np.abs(np.imag(F))))
+    us = np.concatenate(([1], np.flatnonzero(inv < 0)))
+    x = np.zeros((len(us), q), dtype=np.complex128)
+    x[:, inv[ls]] = np.exp(-2j * np.pi * (np.outer(us, ls) % q) / q)
+    F = np.fft.fft(x, axis=1)
+    vals = np.empty((q, q), dtype=np.float64)
+    vals[ls] = F[0].real[np.outer(ls, np.arange(q)) % q]
+    vals[us[1:]] = F[1:].real
+    return vals, float(np.max(np.abs(F.imag)))
 
 
 def weil_margin_table(q: int) -> np.ndarray:
     """margin[u, v] = weil_bound(q,u,v) - |S_q(u,v)| for all u, v."""
     vals, _ = kloosterman_table(q)
-    idx = np.arange(q)
-    g = np.gcd(np.gcd.outer(idx, idx), q)   # gcd(u, v, q)
-    bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(g.astype(np.float64))
+    g = np.gcd(np.arange(q), q)
+    g_uv = np.gcd.outer(g, g).astype(np.float64)   # gcd(u, v, q)
+    bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(g_uv)
     return bound - np.abs(vals)

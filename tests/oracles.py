@@ -226,6 +226,28 @@ def kloosterman_brute(q: int, u: int, v: int) -> complex:
     return total
 
 
+def kloosterman_table_fft2(q: int) -> tuple[np.ndarray, float]:
+    """All S_q(u, v) from one 2-D FFT of the q x q matrix B[l, l^{-1}] = 1.
+
+    fft2(B)[u, v] = sum_l e(-(u l + v l^{-1})/q) = conj(S_q(u, v)).  Returns
+    (real part, max |imag|).
+    """
+    B = np.zeros((q, q), dtype=np.float64)
+    for l in range(q):
+        if math.gcd(l, q) == 1:
+            B[l, pow(l, -1, q)] = 1.0
+    F = np.fft.fft2(B)
+    return np.real(F), float(np.max(np.abs(np.imag(F))))
+
+
+def weil_margins_fft2(q: int) -> np.ndarray:
+    """tau(q) sqrt(q) gcd(u, v, q)^{1/2} - |S_q(u, v)| from the fft2 table."""
+    vals, _ = kloosterman_table_fft2(q)
+    g = np.array([[math.gcd(math.gcd(u, v), q) for v in range(q)]
+                  for u in range(q)], dtype=np.float64)
+    return tau_k_direct(q, 2) * math.sqrt(q) * np.sqrt(g) - np.abs(vals)
+
+
 # ---------------------------------------------------------------------------
 # prime exponential sums / counts, direct double loops
 

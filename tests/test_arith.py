@@ -11,7 +11,6 @@ from fracprimes.arith import (FactoredInteger, divisors, euler_phi, factor,
                               tau_k, unit_inverses, von_mangoldt,
                               von_mangoldt_range)
 from fracprimes.errors import ArgumentError
-from fracprimes.errors import ArgumentError
 
 import oracles
 
@@ -167,6 +166,49 @@ def test_smallest_factor_range():
         assert n % sf[n] == 0
         assert is_prime(int(sf[n]))
         assert all(n % d != 0 for d in range(2, int(sf[n])))
+
+
+def _mobius_spf_loop(nmax):
+    """mu by the per-n recursion over smallest prime factors."""
+    spf = smallest_factor_range(nmax)
+    mu = np.zeros(nmax + 1, dtype=np.int8)
+    mu[1] = 1
+    for n in range(2, nmax + 1):
+        p = spf[n]
+        m = n // p
+        mu[n] = 0 if m % p == 0 else -mu[m]
+    return mu
+
+
+def _von_mangoldt_spf_loop(nmax):
+    """Lambda by dividing out each n's smallest prime factor."""
+    spf = smallest_factor_range(nmax)
+    lam = np.zeros(nmax + 1, dtype=np.float64)
+    for n in range(2, nmax + 1):
+        p = int(spf[n])
+        m = n
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            lam[n] = math.log(p)
+    return lam
+
+
+# with numpy 2.4 on x86-64, 285343 is the smallest prime whose np.log differs
+# from math.log (in the last bit), so 3 * 10^5 catches a sieve using np.log
+@pytest.mark.parametrize("nmax", list(range(1, 65))
+                         + [10**5, 10**5 + 1, 3 * 10**5])
+def test_range_sieves_equal_spf_loops(nmax):
+    for got, want in ((mobius_range(nmax), _mobius_spf_loop(nmax)),
+                      (von_mangoldt_range(nmax), _von_mangoldt_spf_loop(nmax))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_range_sieves_reject_empty_range():
+    for fn in (mobius_range, von_mangoldt_range):
+        with pytest.raises(ArgumentError):
+            fn(0)
 
 
 def test_is_prime_large_deterministic():

@@ -211,6 +211,22 @@ def test_weil_table_consistent_with_scalar():
         assert (margins >= -1e-9).all()
 
 
+# prime powers and highly composite q have a large non-unit block
+_FFT2_MODULI = [int(p) for p in primes_upto(499)] + [
+    2, 3, 4, 8, 9, 12, 16, 24, 25, 27, 30, 32, 49, 60, 64, 210, 360]
+
+
+@pytest.mark.parametrize("q", _FFT2_MODULI)
+def test_kloosterman_table_matches_fft2(q):
+    vals, imag_max = kloosterman_table(q)
+    want, _ = oracles.kloosterman_table_fft2(q)
+    assert vals.shape == (q, q)
+    assert np.abs(vals - want).max() <= 1e-9 * q
+    assert imag_max <= 1e-9
+    margins = weil_margin_table(q)
+    assert np.abs(margins - oracles.weil_margins_fft2(q)).max() <= 1e-9 * q
+
+
 def test_degenerate_kloosterman_is_phi():
     for q in (7, 12):
         assert abs(kloosterman(q, 0, 0).value - euler_phi(q)) <= 1e-12

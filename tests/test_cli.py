@@ -10,6 +10,8 @@ from fracprimes import cli
 from fracprimes.cli import (ResultRecord, main, record_from_json,
                             record_to_json)
 
+import oracles
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -105,6 +107,16 @@ def test_kloosterman_cli(capsys):
     assert rec.values["weil_bound"] == pytest.approx(2 * math.sqrt(7))
     assert rec.values["margin"] > 0
     assert rec.values["imag_residual"] <= 1e-9
+
+
+def test_kloosterman_table_json(capsys):
+    code, out, _ = run_cli(capsys, ["kloosterman", "--q", "24", "--table",
+                                    "--output", "json"])
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags["weil_ok"] and rec.invariant_flags["real_ok"]
+    want = float(oracles.weil_margins_fft2(24).min())
+    assert abs(rec.values["min_margin"] - want) <= 1e-9 * 24
 
 
 def test_gauss_cli(capsys):
