@@ -21,8 +21,8 @@ from .errors import ArgumentError, ResourceLimitError
 
 CACHE_MAGIC = b"FPL1"
 _TRIAL_LIMIT = 10**6
-_DEFAULT_SEGMENT = 1 << 20
-_DEFAULT_MAX_LEN = 1 << 31
+_SEGMENT = 1 << 20
+_MAX_LEN = 1 << 31
 
 # primes below 10**6 for trial division, built lazily once
 _small_primes: np.ndarray | None = None
@@ -47,12 +47,11 @@ def _trial_primes() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Primality (and optionally smallest-prime-factor) data for [lo, hi)."""
+    """Primality data for [lo, hi)."""
 
     lo: int
     hi: int
     is_prime: np.ndarray                      # bool, length hi - lo
-    smallest_factor: np.ndarray | None = None  # int64, 0 where unset, else spf
 
     def count(self) -> int:
         return int(np.count_nonzero(self.is_prime))
@@ -60,58 +59,38 @@ class SieveTable:
     def primes(self) -> np.ndarray:
         return np.flatnonzero(self.is_prime).astype(np.int64) + self.lo
 
-    def contains(self, n: int) -> bool:
-        return self.lo <= n < self.hi
 
-    def prime(self, n: int) -> bool:
-        if not self.contains(n):
-            raise ArgumentError(f"{n} outside sieved range [{self.lo}, {self.hi})")
-        return bool(self.is_prime[n - self.lo])
-
-
-def sieve_primes(lo: int, hi: int, with_factors: bool = False,
-                 segment: int = _DEFAULT_SEGMENT,
-                 max_len: int = _DEFAULT_MAX_LEN) -> SieveTable:
-    """Sieve [lo, hi), marking composites segment by segment for locality.
+def sieve_primes(lo: int, hi: int) -> SieveTable:
+    """Sieve [lo, hi), marking composites in segments of _SEGMENT integers
+    from lo on, for locality.
 
     Requires 2 <= lo < hi <= 2**48.  Memory is one bool per integer in the
-    range (plus 8 bytes each if with_factors); ranges longer than max_len
-    raise ResourceLimitError rather than thrash.
+    range; ranges longer than _MAX_LEN raise ResourceLimitError before
+    anything is allocated, rather than thrash.
     """
     if not (2 <= lo < hi):
         raise ArgumentError(f"need 2 <= lo < hi, got lo={lo} hi={hi}")
     if hi > 1 << 48:
         raise ArgumentError(f"hi={hi} beyond supported range 2**48")
     n = hi - lo
-    if n > max_len:
+    if n > _MAX_LEN:
         raise ResourceLimitError(
-            f"range of length {n} exceeds budget {max_len}", estimate=n, budget=max_len)
+            f"range of length {n} exceeds budget {_MAX_LEN}", estimate=n,
+            budget=_MAX_LEN)
 
     root = math.isqrt(hi - 1)
     base = _trial_primes() if root <= _TRIAL_LIMIT else np.flatnonzero(_base_sieve(root)).astype(np.int64)
     base = base[base <= root]
 
     is_prime = np.ones(n, dtype=bool)
-    spf = np.zeros(n, dtype=np.int64) if with_factors else None
-
-    for s0 in range(lo, hi, segment):
-        s1 = min(s0 + segment, hi)
+    for s0 in range(lo, hi, _SEGMENT):
+        s1 = min(s0 + _SEGMENT, hi)
         for p in base.tolist():
+            # start >= p*p > p, so p itself stays marked
             start = max(p * p, ((s0 + p - 1) // p) * p)
-            if start >= s1:
-                continue
-            sl = slice(start - lo, s1 - lo, p)
-            if with_factors:
-                seg_mask = spf[sl] == 0
-                spf[sl] = np.where(seg_mask, p, spf[sl])
-            is_prime[sl] = False
-            # p itself may sit inside the segment; it was just unmarked only
-            # if start == p*p <= p, impossible, so primes stay marked.
-
-    if with_factors:
-        idx = np.flatnonzero(spf == 0)
-        spf[idx] = idx + lo  # primes (and 1, excluded by lo >= 2) are their own spf
-    return SieveTable(lo=lo, hi=hi, is_prime=is_prime, smallest_factor=spf)
+            if start < s1:
+                is_prime[start - lo : s1 - lo : p] = False
+    return SieveTable(lo=lo, hi=hi, is_prime=is_prime)
 
 
 def primes_upto(n: int) -> np.ndarray:

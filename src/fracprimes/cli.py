@@ -138,12 +138,11 @@ def config_from_args(args) -> RunConfig:
     fields = {}
     for key, val in kv.items():
         if key in _DEFAULT_CONSTANTS:
-            constants[key] = float(val)
+            constants[key] = _number(key, val)
         elif key == "I" or key == "interval":
-            fields["interval"] = tuple(float(x) for x in val) \
-                if isinstance(val, tuple) else _interval(val)
+            fields["interval"] = _interval(val)
         elif key in _SCALAR_KEYS:
-            fields[key] = _SCALAR_KEYS[key](val)
+            fields[key] = _number(key, val, _SCALAR_KEYS[key])
         elif key in ("cache_path", "output"):
             fields[key] = str(val)
         else:
@@ -164,11 +163,20 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _interval(text: str) -> tuple:
-    parts = str(text).split(",")
+def _number(key: str, val, cast=float):
+    """cast(val), or an ArgumentError naming the key."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ArgumentError(f"{key}: not a number: {val!r}") from e
+
+
+def _interval(val) -> tuple:
+    """'c,d' text, or a config file's parsed pair, as two floats."""
+    parts = val if isinstance(val, tuple) else str(val).split(",")
     if len(parts) != 2:
-        raise ArgumentError(f"interval must be 'c,d', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+        raise ArgumentError(f"interval must be 'c,d', got {val!r}")
+    return tuple(_number("interval", x) for x in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +268,8 @@ def cache_dir(cfg: RunConfig) -> str:
 def find_cached_table(cfg: RunConfig, need_hi: int):
     """Smallest readable cached sieve covering [2, need_hi), or None.
 
-    A cache file that fails to load is skipped with a warning on stderr.
+    A cache file that fails to load, or whose header does not cover
+    [2, need_hi) whatever its name says, is skipped with a warning on stderr.
     """
     d = cache_dir(cfg)
     if not os.path.isdir(d):
@@ -268,8 +277,13 @@ def find_cached_table(cfg: RunConfig, need_hi: int):
     sizes = sorted(int(m.group(1)) for m in map(_CACHE_RE.match, os.listdir(d))
                    if m and int(m.group(1)) >= need_hi)
     for n in sizes:
+        path = os.path.join(d, f"primes_{n}.fpl")
         try:
-            return load_sieve(os.path.join(d, f"primes_{n}.fpl"))
+            table = load_sieve(path)
+            if table.lo > 2 or table.hi < need_hi:
+                raise ArgumentError(f"{path}: header covers [{table.lo}, "
+                                    f"{table.hi}), not [2, {need_hi})")
+            return table
         except (ArgumentError, OSError) as e:
             print(f"warning: skipping prime cache: {e}", file=sys.stderr)
     return None
@@ -309,7 +323,7 @@ def cmd_sieve(args, cfg: RunConfig):
 
 
 def cmd_cache(args, cfg: RunConfig):
-    n = int(float(args.build))
+    n = _number("build", args.build, lambda v: int(float(v)))
     if n < 3:
         raise ArgumentError(f"--build needs n >= 3, got {n}")
     path = os.path.join(cache_dir(cfg), f"primes_{n}.fpl")
@@ -390,7 +404,7 @@ def cmd_decompose_check(args, cfg: RunConfig):
 
 def cmd_classify(args, cfg: RunConfig):
     if args.dyadic:
-        ds = tuple(float(x) for x in args.dyadic.split(","))
+        ds = tuple(_number("dyadic", x) for x in args.dyadic.split(","))
         dt = DyadicTuple(D=ds, X1=args.X1, Y1=args.Y1, eps1=args.eps1)
         witnesses = classify_dyadic(dt)
         params = {"D": list(ds), "X1": args.X1, "Y1": args.Y1,
@@ -398,7 +412,7 @@ def cmd_classify(args, cfg: RunConfig):
     else:
         if not args.t:
             raise ArgumentError("classify needs --t or --dyadic")
-        t_vals = tuple(float(x) for x in args.t.split(","))
+        t_vals = tuple(_number("t", x) for x in args.t.split(","))
         sigma = args.sigma if args.sigma is not None else 0.15
         witnesses = classify_exponents(t_vals, sigma)
         params = {"t": list(t_vals), "sigma": sigma}

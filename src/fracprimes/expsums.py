@@ -8,9 +8,9 @@ and a float64 expansion around them, within the bound its docstring states
 (`mp_context`), never from the process-global `mpmath.mp`, so the
 reductions are thread-safe.
 
-All complex accumulations go through `block_sum`, which reduces fixed
-2**16-element blocks in index order, so results are byte-identical for a
-fixed input.
+The prime sums (`exp_sum_primes`, `weighted_sum_W`) and `phase_sum`
+accumulate through `block_sum`, which reduces fixed 2**16-element blocks in
+index order, so results are byte-identical for a fixed input.
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ _MP50 = mp_context(50)
 
 
 def reduced_phase(h, n, alpha: float) -> float:
-    """frac(h * n^alpha) in [0, 1), switching precision on magnitude.
+    """frac(h * n^alpha) in [0, 1): `reduced_phase_array` on one element.
 
     Touches no process-global mpmath state; safe to call from threads.
     """
-    w = h * float(n) ** alpha
-    if abs(w) <= REDUCTION_THRESHOLD:
-        return w % 1.0
-    return float(_anchored_frac(h, np.array([int(n)]), alpha)[0])
+    return float(_reduce_monomial(h, np.array([int(n)]), alpha)[0])
 
 
 def _anchored_frac(c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
@@ -178,8 +175,7 @@ class FracWindow:
             raise ArgumentError(f"need alpha in (0,1), got {self.alpha}")
 
     def contains(self, n: int) -> bool:
-        f = reduced_phase(1, n, self.alpha)
-        return self.c <= f < self.d
+        return bool(self.mask(np.array([int(n)]))[0])
 
     def mask(self, ns: np.ndarray) -> np.ndarray:
         f = reduced_phase_array(1, ns, self.alpha)
@@ -455,8 +451,7 @@ def bilinear_sum(m_range, n_range, gamma, beta, q: int, a: int, h, alpha: float,
     w = eval_bump(window, mn / X)
     if q > 1:
         w = w * (mn % q == a)
-    phases = np.exp(2j * np.pi * reduced_phase_array(h, mn.ravel(), alpha)
-                    ).reshape(mn.shape)
+    phases = unit_phases(h, mn.ravel(), alpha).reshape(mn.shape)
     inner = w * phases            # psi * e(...) with the congruence folded in
     t_m = inner @ b               # T_m = sum_n beta(n) psi e(...)
     value = complex(np.sum(g * t_m))

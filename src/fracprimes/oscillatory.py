@@ -22,7 +22,7 @@ Four layers, bottom up:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,7 @@ from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
 from .expsums import (REDUCTION_THRESHOLD, _anchored_frac, mp_context,
-                      reduced_phase_array)
+                      unit_phases)
 from .smoothing import (BumpWindow, eval_bump, eval_member, make_partition,
                         richardson_derivative)
 
@@ -78,7 +78,6 @@ class WindowModel:
     fn: object
     lo: float
     hi: float
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -86,9 +85,7 @@ class WindowModel:
 
 def window_from_bump(w: BumpWindow) -> WindowModel:
     lo, hi = w.support
-    return WindowModel(fn=lambda t: eval_bump(w, t), lo=lo, hi=hi,
-                       params={"kind": "bump", "y": w.y, "delta": w.delta,
-                               "mollifier": "exp(-1/t) smoothstep"})
+    return WindowModel(fn=lambda t: eval_bump(w, t), lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,6 @@ def gaussian_phase(Y: float, t0: float) -> PhaseModel:
 @dataclass(frozen=True)
 class OscIntegralResult:
     value: complex
-    method: str
     error_estimate: float
     terms_used: int
 
@@ -321,8 +317,7 @@ def quad_osc(w: WindowModel, g: PhaseModel, J=None, tol: float = 1e-9,
     a = w.lo if J is None else max(J[0], w.lo)
     b = w.hi if J is None else min(J[1], w.hi)
     if not b > a:
-        return OscIntegralResult(value=0j, method="quadrature",
-                                 error_estimate=0.0, terms_used=0)
+        return OscIntegralResult(value=0j, error_estimate=0.0, terms_used=0)
     # seed the panels at the stationary points, all inside (a, b)
     edges = _budget_edges(np.array(sorted({a, b, *_stationary_candidates(g, a, b)})),
                           lambda x: np.abs(np.asarray(g.dg(x, 1), dtype=float)),
@@ -335,8 +330,7 @@ def quad_osc(w: WindowModel, g: PhaseModel, J=None, tol: float = 1e-9,
         return complex(fine_pairs.sum()), float(err.sum()), err
 
     value, err, nodes = _refine(edges, measure, tol, max_panels, max_rounds)
-    return OscIntegralResult(value=value, method="quadrature",
-                             error_estimate=err, terms_used=nodes)
+    return OscIntegralResult(value=value, error_estimate=err, terms_used=nodes)
 
 
 _BLOCK_PANELS = 1456   # 45 nodes each: ~1 MB per complex array of a block
@@ -498,8 +492,7 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
         raise ArgumentError(f"n_terms must be 1..3, got {n_terms}")
     a = w.lo if J is None else max(J[0], w.lo)
     b = w.hi if J is None else min(J[1], w.hi)
-    pts = _stationary_candidates(g, a, b) if g.kind == "generic" \
-        else [t for t in [stationary_point(g)] if a < t < b]
+    pts = _stationary_candidates(g, a, b)
     if not pts:
         raise StationaryPointError("no stationary point in the window")
     if len(pts) > 1:
@@ -514,8 +507,7 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     ag2 = abs(g2)
 
     if step is None:
-        g3 = abs(float(np.real(g.dg(t0, 3)))) if g.kind != "generic" else \
-            abs(complex(g.dg(t0, 3)).real)
+        g3 = abs(float(np.real(g.dg(t0, 3))))
         scale2 = 0.3 / math.sqrt(ag2)
         scale3 = (0.05 / (2 * math.pi * g3)) ** (1 / 3) if g3 > 0 else np.inf
         step = min(0.02 * (b - a), scale2, scale3)
@@ -542,7 +534,6 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     nxt = abs(phases[n_terms]) / (math.factorial(n_terms)
                                   * (4 * np.pi * ag2) ** n_terms)
     return OscIntegralResult(value=complex(value),
-                             method="stationary-expansion",
                              error_estimate=float(nxt / math.sqrt(ag2)),
                              terms_used=n_terms)
 
@@ -616,10 +607,16 @@ class PoissonCheck:
     meta: dict
 
 
-def _gauss_row(table, idx: int) -> np.ndarray:
-    """tau(chi; s) for s = 0..q-1 via one inverse FFT of the value row."""
-    vals = chi_values(table, idx)
-    return np.fft.ifft(vals) * table.q
+def _character_rows(q: int, chi_index: int):
+    """(chi(k), tau(chi; k)) for k = 0..q-1: the value row of character
+    chi_index mod q (q <= 50) and its Gauss sums by one inverse FFT."""
+    if q > 50:
+        raise ArgumentError(f"verification scale capped at q <= 50, got {q}")
+    table = character_group(q)
+    if not 0 <= chi_index < table.phi:
+        raise ArgumentError(f"chi_index {chi_index} out of range")
+    vals = chi_values(table, chi_index)
+    return vals, np.fft.ifft(vals) * q
 
 
 def _partition(theta: float, X: float):
@@ -631,7 +628,7 @@ def _partition(theta: float, X: float):
 def _snap(part, x: float) -> float:
     """The grid value theta^l nearest to x on a log scale."""
     theta = part.theta
-    return theta ** part.grid.index_of(
+    return theta ** part.index_of(
         theta ** round(math.log(x) / math.log(theta)))
 
 
@@ -730,11 +727,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     Both sides are computed independently (finite sum vs adaptive
     quadrature); the s-sum is truncated at s_max with a reported tail bound.
     """
-    if q > 50:
-        raise ArgumentError(f"verification scale capped at q <= 50, got {q}")
-    table = character_group(q)
-    if not 0 <= chi_index < table.phi:
-        raise ArgumentError(f"chi_index {chi_index} out of range")
+    chiv, gauss = _character_rows(q, chi_index)
     umn = u * m * n
     part = _partition(theta, X)
     if K is None:
@@ -745,7 +738,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
                 "increase X or decrease u*m*n")
         K = _snap(part, X * t_mid / umn)
     else:
-        part.grid.index_of(K)
+        part.index_of(K)
 
     k_lo = math.ceil(K / theta)
     k_hi = math.floor(K * theta)
@@ -754,11 +747,10 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
                                  estimate=k_hi - k_lo + 1, budget=k_budget)
     f3_fn = _slot_weight(f3)
     ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    chiv = chi_values(table, chi_index)
     amp_k = (f3_fn(ks) * eval_member(part, K, ks.astype(float))
              * eval_bump(window, umn * ks / X))
-    ph = reduced_phase_array(h, umn * ks, alpha) if h != 0 else np.zeros(len(ks))
-    lhs = complex(np.sum(chiv[ks % q] * amp_k * np.exp(2j * np.pi * ph)))
+    lhs = complex(np.sum(chiv[ks % q] * amp_k
+                         * unit_phases(h, umn * ks, alpha)))
 
     # truncation scale: the t-integral oscillates against e(-Xst/(qumn));
     # stationary s stop near T2, tails decay like s^{-A}
@@ -773,9 +765,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
         return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
 
     return _poisson_s_sum(
-        lhs, _gauss_row(table, chi_index),
-        WindowModel(fn=w_t, lo=t_lo, hi=t_hi,
-                    params={"f3": f3, "K": K, "theta": theta}),
+        lhs, gauss, WindowModel(fn=w_t, lo=t_lo, hi=t_hi),
         partial(make_first_phase, h, X, alpha, q, u, m, n),
         pref=X / (q * umn), slope=(X, q * umn),
         lead_peak=alpha * h * X ** alpha * t_lo ** (alpha - 1),
@@ -852,13 +842,9 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     with n(T) = s X^{1-a} T / (a h q u m).  The identity is Poisson
     summation in n after the substitution T = a h q u m n / (s X^{1-a}).
     """
-    if q > 50:
-        raise ArgumentError(f"verification scale capped at q <= 50, got {q}")
     if s <= 0:
         raise ArgumentError(f"need s >= 1, got {s}")
-    table = character_group(q)
-    if not 0 <= chi_index < table.phi:
-        raise ArgumentError(f"chi_index {chi_index} out of range")
+    chiv, gauss = _character_rows(q, chi_index)
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta
 
@@ -869,7 +855,7 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
             / (alpha * h * q * u * m)
         N = _snap(part, n_star)
     else:
-        part.grid.index_of(N)
+        part.index_of(N)
     aq = alpha * h * q * u * m
 
     if K is None:
@@ -880,7 +866,7 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
                 "the N-block is too wide for this (h, s, X) combination")
         K = _snap(part, k_star)
     else:
-        part.grid.index_of(K)
+        part.index_of(K)
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
                                       N, K, f2, f3)
 
@@ -888,7 +874,6 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     n_lo = math.ceil(N / theta)
     n_hi = math.floor(N * theta)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    chiv = chi_values(table, chi_index)
     amp = amp_n(ns)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
     phi_vals = phi_scale * np.power(q * u * m * ns.astype(float) / s, gamma)
@@ -909,10 +894,7 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     phase_at = partial(make_second_phase, h, X, alpha, q, u, m, s)
     lead = (1 - alpha) * h * X ** alpha
     return _poisson_s_sum(
-        lhs, _gauss_row(table, chi_index),
-        WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi,
-                    params={"N": N, "K": K, "theta": theta, "f2": f2,
-                            "f3": f3}),
+        lhs, gauss, WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
         phase_at, pref=(s * X ** (1 - alpha) / aq) ** (beta / 2) / q,
         slope=(X ** (1 - alpha) * s / (alpha * h * q ** 2 * u * m), 1.0),
         lead_peak=float(np.max(np.abs(lead * gamma * np.power(
@@ -941,8 +923,8 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
     """
     cst = alpha_constants(alpha)
     part = _partition(theta, X)
-    part.grid.index_of(N)
-    part.grid.index_of(K)
+    part.index_of(N)
+    part.index_of(K)
     aq = alpha * h * q * u * m
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
                                       N, K, "one", "log")

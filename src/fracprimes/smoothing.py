@@ -77,8 +77,8 @@ def eval_bump(w: BumpWindow, x):
 
 
 @dataclass(frozen=True)
-class GridG:
-    """The geometric grid {theta^l : l = 0..max_power}."""
+class DyadicPartition:
+    """Partition of unity on the geometric grid {theta^l : l = 0..max_power}."""
 
     theta: float
     max_power: int
@@ -89,9 +89,6 @@ class GridG:
         if self.max_power < 1:
             raise ArgumentError(f"need max_power >= 1, got {self.max_power}")
 
-    def values(self) -> np.ndarray:
-        return self.theta ** np.arange(self.max_power + 1, dtype=float)
-
     def index_of(self, D: float, rtol: float = 1e-9) -> int:
         """Grid index l with theta^l == D, else ArgumentError."""
         if D <= 0:
@@ -100,16 +97,6 @@ class GridG:
         if 0 <= l <= self.max_power and abs(self.theta ** l - D) <= rtol * D:
             return l
         raise ArgumentError(f"{D} is not on the grid theta^l, theta={self.theta}")
-
-
-@dataclass(frozen=True)
-class DyadicPartition(GridG):
-    """Partition of unity on the grid theta^l, l = 0..max_power; its fields
-    and their checks are the grid's."""
-
-    @property
-    def grid(self) -> GridG:
-        return GridG(theta=self.theta, max_power=self.max_power)
 
 
 def make_partition(theta: float, max_power: int) -> DyadicPartition:
@@ -128,7 +115,7 @@ def master_window(theta: float, x):
 
 def eval_member(p: DyadicPartition, D: float, x):
     """Psi_D(x) = Psi(x/D) - Psi(theta*x/D), supported on [D/theta, D*theta]."""
-    p.grid.index_of(D)  # validates D is on the grid
+    p.index_of(D)  # validates D is on the grid
     arr = np.asarray(x, dtype=float)
     out = master_window(p.theta, arr / D) - master_window(p.theta, p.theta * arr / D)
     if np.ndim(x) == 0:

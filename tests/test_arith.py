@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fracprimes.arith import (FactoredInteger, divisors, euler_phi, factor,
                               save_sieve, sieve_primes, smallest_factor_range,
                               tau_k, unit_inverses, von_mangoldt,
                               von_mangoldt_range)
-from fracprimes.errors import ArgumentError
+from fracprimes.errors import ArgumentError, ResourceLimitError
 
 import oracles
 
@@ -32,7 +33,39 @@ def test_sieve_roundtrip(tmp_path):
     back = load_sieve(path)
     assert back.lo == table.lo and back.hi == table.hi
     assert np.array_equal(back.primes(), table.primes())
-    assert np.array_equal(back.smallest_factor, table.smallest_factor)
+    assert np.array_equal(back.is_prime, table.is_prime)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 100), (0, 100), (100, 100),
+                                    (101, 100), (2, 2 ** 48 + 1)])
+def test_sieve_rejects_bad_ranges(lo, hi):
+    with pytest.raises(ArgumentError):
+        sieve_primes(lo, hi)
+
+
+def test_sieve_length_budget_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            sieve_primes(2, 2 ** 31 + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.estimate == 2 ** 31 + 1
+    assert exc.value.budget == 2 ** 31
+    assert peak < 1 << 20     # far below one byte per integer of the range
+
+
+def test_sieve_across_a_segment_edge():
+    # segments start at lo, so the internal edge sits at lo + 2^20
+    lo, edge = 10 ** 6, 10 ** 6 + 2 ** 20
+    hi = edge + 5000
+    table = sieve_primes(lo, hi)
+    ps = primes_upto(hi - 1)
+    assert np.array_equal(table.primes(), ps[ps >= lo])
+    near = range(edge - 5000, hi)
+    assert ([bool(table.is_prime[n - lo]) for n in near]
+            == [is_prime(n) for n in near])
 
 
 @pytest.mark.parametrize("size", [10, 100])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracprimes import cli
+from fracprimes.arith import save_sieve, sieve_primes
 from fracprimes.cli import (ResultRecord, main, record_from_json,
                             record_to_json)
 
@@ -252,6 +253,26 @@ def test_corrupt_cache_is_skipped(tmp_path, monkeypatch, capsys, size):
     assert len(warnings) == 2
 
 
+def test_cache_header_must_cover_the_range(tmp_path, monkeypatch, capsys):
+    # file names promise [2, 2e6) and [2, 1.5e6); the headers hold [2, 1000)
+    # and [500, 1.5e6), so neither covers count --X 10^6
+    save_sieve(sieve_primes(2, 1000), str(tmp_path / "primes_2000000.fpl"))
+    save_sieve(sieve_primes(500, 1_500_000),
+               str(tmp_path / "primes_1500000.fpl"))
+    argv = ["count", "--X", "1000000", "--output", "json"]
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags["cache_hit"] is False
+    warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 2
+    assert all("header covers" in w for w in warnings)
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path / "empty"))
+    code, out, _ = run_cli(capsys, argv)
+    assert record_from_json(out).values["count"] == rec.values["count"]
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "sub" / "level.txt"
     code, out, _ = run_cli(capsys, ["level", "--alpha", "0.1", "--out",
@@ -308,6 +329,20 @@ def test_exit_code_argument_error(capsys):
                                     "--I", "0,0.5"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("cmd, flag, value, key", [
+    ("cache", "--build", "abc", "build"), ("cache", "--build", "nan", "build"),
+    ("cache", "--build", "inf", "build"), ("classify", "--t", "0.5,x", "t"),
+    ("count", "--I", "a,b", "interval"), ("level", "--set", "alpha=abc", "alpha"),
+    ("level", "--set", "X=1e9x", "X"), ("level", "--set", "seed=1,2", "seed")])
+def test_malformed_numbers_are_argument_errors(tmp_path, monkeypatch, capsys,
+                                               cmd, flag, value, key):
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, [cmd, flag, value])
+    assert code == 2
+    assert err.startswith(f"error: {key}: ")
+    assert out == ""
 
 
 def test_exit_code_invariant_violation(monkeypatch, capsys):

@@ -112,10 +112,27 @@ def test_reduced_phase_large_argument():
 
 
 def test_reduced_phase_array_agrees_with_scalar():
+    # scalar and array phases are the same kernel, so they agree bit for bit
+    # on both tiers, and FracWindow.contains agrees with mask at the edges
     ns = np.arange(10, 5000, 37, dtype=np.int64)
     arr = reduced_phase_array(3, ns, 0.3)
-    for i, n in enumerate(ns[:50]):
-        assert abs(arr[i] - reduced_phase(3, int(n), 0.3)) < 1e-14
+    assert [reduced_phase(3, int(n), 0.3) for n in ns] == arr.tolist()
+    rng = np.random.default_rng(20261018)
+    hs = rng.integers(1, 2000, size=2000)
+    ns = rng.integers(2, 10 ** 6, size=2000)
+    alphas = rng.uniform(0.05, 0.95, size=2000)
+    tiers = set()
+    for h, n, alpha in zip(hs.tolist(), ns.tolist(), alphas.tolist()):
+        want = reduced_phase_array(h, np.array([n]), alpha)[0]
+        assert reduced_phase(h, n, alpha) == want
+        tiers.add(h * n ** alpha > REDUCTION_THRESHOLD)
+        # a window edge at the phase or just above it
+        f = reduced_phase_array(1, np.array([n]), alpha)[0]
+        for c in (f, np.nextafter(f, 1.0)):
+            if c < 1.0:
+                win = FracWindow(alpha=alpha, c=c, d=min(c + 0.25, 1.0))
+                assert win.contains(n) == win.mask(np.array([n]))[0]
+    assert tiers == {False, True}
 
 
 def test_phase_reduction_is_thread_safe():

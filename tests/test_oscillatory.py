@@ -178,7 +178,7 @@ def test_quad_validation_and_accuracy_error():
     # error must carry the best value and its error estimate
     from fracprimes.oscillatory import WindowModel
     cusp = WindowModel(fn=lambda t: np.sqrt(np.abs(np.asarray(t, float) - 1.5)),
-                       lo=0.8, hi=2.2, params={})
+                       lo=0.8, hi=2.2)
     lin = make_generic_phase(lambda t: 3.0 * np.asarray(t, float))
     with pytest.raises(AccuracyError) as exc:
         quad_osc(cusp, lin, tol=1e-12, max_rounds=2)

@@ -104,7 +104,7 @@ def test_member_rejects_off_grid_scale():
 def test_grid_index_roundtrip():
     part = make_partition(1.1, 60)
     for ell in (0, 1, 7, 59):
-        assert part.grid.index_of(1.1 ** ell) == ell
+        assert part.index_of(1.1 ** ell) == ell
 
 
 def test_bump_values_match_oracle():
