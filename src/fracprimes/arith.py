@@ -198,12 +198,6 @@ class FactoredInteger:
     n: int
     factors: tuple[tuple[int, int], ...]  # ((p, e), ...) with p ascending
 
-    def divisor_count(self) -> int:
-        out = 1
-        for _, e in self.factors:
-            out *= e + 1
-        return out
-
 
 def factor(n: int) -> FactoredInteger:
     """Factor n >= 1: trial division to 10**6, then Miller-Rabin/rho."""

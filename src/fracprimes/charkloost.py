@@ -31,7 +31,7 @@ _Q_BUDGET = 10**5
 class CharacterTable:
     """All phi(q) Dirichlet characters mod q.
 
-    generators[i] = (component modulus, generator, order); dlog[n, i] is the
+    Generator i of (Z/qZ)^* has order orders[i]; dlog[n, i] is the
     exponent of n on generator i (-1 for non-units).  Character c has
     exponent vector exponents[c]; chi_c(n) = e(sum_i exponents[c, i] *
     dlog[n, i] / order_i) on units, 0 elsewhere.  Index 0 is principal.
@@ -39,7 +39,6 @@ class CharacterTable:
 
     q: int
     factorization: FactoredInteger
-    generators: tuple          # ((modulus, g, order), ...)
     exponents: np.ndarray      # (phi, G) int64
     dlog: np.ndarray           # (q, G) int64, -1 on non-units
     orders: np.ndarray         # (G,) int64
@@ -48,15 +47,6 @@ class CharacterTable:
     @property
     def phi(self) -> int:
         return self.exponents.shape[0]
-
-    def character_order(self, idx: int) -> int:
-        """Multiplicative order of character idx in the dual group."""
-        e = self.exponents[idx]
-        out = 1
-        for ei, si in zip(e.tolist(), self.orders.tolist()):
-            g = math.gcd(ei, si)
-            out = out * (si // g) // math.gcd(out, si // g)
-        return out
 
 
 def _component_dlogs(p: int, e: int):
@@ -132,8 +122,7 @@ def character_group(q: int) -> CharacterTable:
         for j in range(G - 1, -1, -1):
             exponents[:, j] = rem % orders[j]
             rem //= orders[j]
-    return CharacterTable(q=q, factorization=fac, generators=tuple(gens),
-                          exponents=exponents, dlog=dlog,
+    return CharacterTable(q=q, factorization=fac, exponents=exponents, dlog=dlog,
                           orders=orders if G else np.zeros(0, dtype=np.int64),
                           unit_mask=unit_mask)
 

@@ -45,8 +45,16 @@ from .smoothing import make_bump, make_partition, partition_sum
 
 _DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
 # scalar config keys: each is a --flag and a config-file/--set key of this type
-_SCALAR_KEYS = {"alpha": float, "X": int, "Q": int, "q": int, "a": int,
-                "h": float, "threads": int, "seed": int}
+def _integer(val) -> int:
+    """val as an int; a float only without fractional part, so 1e9 passes."""
+    f = float(val)
+    if not f.is_integer():
+        raise ValueError(val)
+    return val if isinstance(val, int) else int(f)
+
+
+_SCALAR_KEYS = {"alpha": float, "X": _integer, "Q": _integer, "q": _integer,
+                "a": _integer, "h": float, "threads": _integer, "seed": _integer}
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +176,8 @@ def _number(key: str, val, cast=float):
     try:
         return cast(val)
     except (TypeError, ValueError, OverflowError) as e:
-        raise ArgumentError(f"{key}: not a number: {val!r}") from e
+        what = "an integer" if cast is _integer else "a number"
+        raise ArgumentError(f"{key}: not {what}: {val!r}") from e
 
 
 def _interval(val) -> tuple:
@@ -323,7 +332,7 @@ def cmd_sieve(args, cfg: RunConfig):
 
 
 def cmd_cache(args, cfg: RunConfig):
-    n = _number("build", args.build, lambda v: int(float(v)))
+    n = _number("build", args.build, _integer)
     if n < 3:
         raise ArgumentError(f"--build needs n >= 3, got {n}")
     path = os.path.join(cache_dir(cfg), f"primes_{n}.fpl")

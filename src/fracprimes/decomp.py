@@ -277,18 +277,12 @@ def verify_witness(t, sigma: float, w: TypeWitness, slack: float = SLACK) -> boo
 
 @dataclass(frozen=True)
 class DyadicTuple:
-    """Ten dyadic block sizes with their admissible product window.
-
-    theta and v are optional context: the grid ratio (to verify grid
-    membership) and the truncation bound for blocks 6..10.
-    """
+    """Ten dyadic block sizes with their admissible product window."""
 
     D: tuple
     X1: float
     Y1: float
     eps1: float
-    theta: float | None = None
-    v: float | None = None
 
     def __post_init__(self):
         if len(self.D) != 10:
@@ -312,12 +306,6 @@ class DyadicTuple:
         if not (1.0 - slack <= total <= hi + slack):
             raise ArgumentError(
                 f"product of blocks (X1^{total:.6f}) outside [X1, Y1=X1^{hi:.6f}]")
-        if self.v is not None:
-            cap = self.v * (self.theta if self.theta is not None else 1.0)
-            for i in range(5, 10):
-                if self.D[i] > cap * (1 + 1e-9):
-                    raise ArgumentError(
-                        f"block {i + 1} = {self.D[i]} exceeds truncation cap {cap}")
 
 
 def classify_dyadic(dt: DyadicTuple, slack: float = SLACK) -> list[TypeWitness]:

@@ -4,7 +4,8 @@ Four layers, bottom up:
 
 * `quad_osc` — adaptive Gauss-Legendre panel quadrature for w(t) e(g(t)),
   with panels capped at half an oscillation and split at stationary points;
-  `_shared_s_integrals` refines one such grid for all I(s) of a Poisson check.
+  one engine, `_s_integrals`, refines such a grid for a single phase and for
+  all I(s) of a Poisson check at once.
 * `nonstationary_bound` — the integration-by-parts tail bound
   J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) for phases whose
   derivative stays away from zero on the window.
@@ -212,15 +213,6 @@ def _gl_nodes(edges: np.ndarray):
     return mid[:, None] + half[:, None] * _GL_X[None, :], half
 
 
-def _panel_values(wfn, phase: PhaseModel, edges: np.ndarray) -> np.ndarray:
-    """GL-15 value of the integral on each [edges[i], edges[i+1]]."""
-    t, half = _gl_nodes(edges)
-    flat = t.ravel()
-    vals = (np.asarray(wfn(flat), dtype=np.complex128)
-            * _phase_circle(phase.g(flat))).reshape(t.shape)
-    return (vals * _GL_W[None, :]).sum(axis=1) * half
-
-
 def _stationary_candidates(phase: PhaseModel, a: float, b: float) -> list[float]:
     """Zeros of g' in (a, b); closed forms where available, else a scan."""
     out = []
@@ -261,7 +253,12 @@ def _subdivide(edges: np.ndarray, need: np.ndarray) -> np.ndarray:
     return np.append(np.repeat(edges[:-1], need) + k * step, edges[-1])
 
 
-def _budget_edges(edges: np.ndarray, speed, max_panels: int) -> np.ndarray:
+_BLOCK_PANELS = 1456   # 45 nodes each: ~1 MB per complex array of a block
+_MAX_PANELS = 400_000
+_MAX_ROUNDS = 30
+
+
+def _budget_edges(edges: np.ndarray, speed) -> np.ndarray:
     """Subdivide until width * speed <= 0.5 on every panel (half an
     oscillation when speed bounds |g'|), speed sampled at ends and middle."""
     for _ in range(64):
@@ -272,91 +269,73 @@ def _budget_edges(edges: np.ndarray, speed, max_panels: int) -> np.ndarray:
         # sqrt: split gradually; large factors converge in a few sweeps
         if np.all(need <= 1):
             break
-        if len(edges) * 2 > max_panels:
+        if len(edges) * 2 > _MAX_PANELS:
             raise AccuracyError("oscillation budget needs too many panels",
                                 value=None, error_estimate=None)
         edges = _subdivide(edges, need)
     return edges
 
 
-def _refine(edges: np.ndarray, measure, tol: float, max_panels: int,
-            max_rounds: int):
-    """Two-level refinement: measure(edges, half_edges) gives (value, err,
-    panel_err); bisect panels with panel_err > tol / panels until err <=
-    tol.  Returns (value, err, nodes)."""
-    nodes = 0
-    for _ in range(max_rounds):
-        half_edges = np.empty(2 * len(edges) - 1)
-        half_edges[0::2] = edges
-        half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
-        value, total_err, err = measure(edges, half_edges)
-        nodes += _SQRT_GL * (len(edges) - 1 + len(half_edges) - 1)
-        if total_err <= tol:
-            return value, total_err, nodes
-        if 2 * len(edges) > max_panels:
-            break
-        bad = err > tol / max(len(err), 1)
-        keep = np.ones(len(half_edges), dtype=bool)
-        keep[1::2] = bad          # keep midpoints only where needed
-        edges = half_edges[keep]
-    raise AccuracyError(f"no convergence to tol={tol}", value=value,
-                        error_estimate=total_err)
+def _window(w: WindowModel, J) -> tuple:
+    """J clipped to the support of w; the support itself when J is None."""
+    if J is None:
+        return w.lo, w.hi
+    if not J[0] < J[1]:
+        raise ArgumentError(f"J: need J[0] < J[1], got {tuple(J)}")
+    return max(J[0], w.lo), min(J[1], w.hi)
 
 
-def quad_osc(w: WindowModel, g: PhaseModel, J=None, tol: float = 1e-9,
-             max_panels: int = 400_000, max_rounds: int = 30) -> OscIntegralResult:
+def quad_osc(w: WindowModel, g: PhaseModel, J=None,
+             tol: float = 1e-9) -> OscIntegralResult:
     """Adaptive panel quadrature of int w(t) e(g(t)) dt over J.
 
-    Panels are seeded at stationary points and subdivided until each spans
-    at most half an oscillation of g; refinement then targets the panels
-    with the largest two-level discrepancy until the summed estimate is
-    below tol.
+    The single-phase case (s = 0, no slope) of _s_integrals: panels are
+    seeded at stationary points, subdivided until each spans at most half
+    an oscillation of g, then bisected where the two-level discrepancy is
+    largest until the summed estimate is below tol.
     """
-    if tol < 1e-12:
-        raise ArgumentError(f"tol {tol} below supported floor 1e-12")
-    a = w.lo if J is None else max(J[0], w.lo)
-    b = w.hi if J is None else min(J[1], w.hi)
+    a, b = _window(w, J)
     if not b > a:
         return OscIntegralResult(value=0j, error_estimate=0.0, terms_used=0)
-    # seed the panels at the stationary points, all inside (a, b)
-    edges = _budget_edges(np.array(sorted({a, b, *_stationary_candidates(g, a, b)})),
-                          lambda x: np.abs(np.asarray(g.dg(x, 1), dtype=float)),
-                          max_panels)
-
-    def measure(edges, half_edges):
-        fine = _panel_values(w, g, half_edges)
-        fine_pairs = fine[0::2] + fine[1::2]
-        err = np.abs(_panel_values(w, g, edges) - fine_pairs)
-        return complex(fine_pairs.sum()), float(err.sum()), err
-
-    value, err, nodes = _refine(edges, measure, tol, max_panels, max_rounds)
-    return OscIntegralResult(value=value, error_estimate=err, terms_used=nodes)
+    try:
+        vals, errs, nodes = _s_integrals(w, a, b, g, 0.0, [0], tol)
+    except AccuracyError as e:
+        if e.value is None:
+            raise
+        raise AccuracyError(str(e), value=complex(e.value[0][0]),
+                            error_estimate=float(e.value[1][0])) from None
+    return OscIntegralResult(value=complex(vals[0]),
+                             error_estimate=float(errs[0]), terms_used=nodes)
 
 
-_BLOCK_PANELS = 1456   # 45 nodes each: ~1 MB per complex array of a block
+def _s_integrals(w: WindowModel, a: float, b: float, g0: PhaseModel,
+                 slope: float, ss, tol: float):
+    """I(s) = int_a^b w e(g_s) for each s in ss, on one adaptive GL-15 grid.
 
-
-def _shared_s_integrals(w: WindowModel, phase_at, slope: float, ss,
-                        tol: float, max_panels: int = 400_000):
-    """I(s) = int w e(g_s) over [w.lo, w.hi] for each s in ss, on one grid.
-
-    e(g_s) = e(g_0) z^s with g_0 = phase_at(0) and z = e(-slope t), so w and
-    g_0 are evaluated once per node and each s costs a few products.  The
-    grid is seeded for the fastest phase, |g_0'| + |slope| max|s|; panels
-    are bisected where any s's coarse/fine discrepancy exceeds tol / panels
-    until each s's summed discrepancy is <= tol.  Panels go in blocks of
-    _BLOCK_PANELS.  Returns (values, errors, nodes), values/errors per s.
+    g_s = g0 - slope s t, so e(g_s) = e(g0) z^s with z = e(-slope t): w and
+    g0 are evaluated once per node and each s costs a few products (z is
+    skipped when slope == 0).  Edges are seeded at a, b and the stationary
+    points of g0, then subdivided until each panel spans at most half an
+    oscillation of the fastest phase, |g0'| + |slope| max|s|.  Each round
+    compares every panel's GL-15 value with the sum over its two halves and
+    bisects the panels where any s's discrepancy exceeds tol / panels, until
+    each s's summed discrepancy is <= tol.  Panels go in blocks of
+    _BLOCK_PANELS, so memory stays bounded.  Returns (values, errors, nodes),
+    values/errors per s.
     """
     if tol < 1e-12:
         raise ArgumentError(f"tol {tol} below supported floor 1e-12")
     slot = {int(s): j for j, s in enumerate(ss)}
     s_lo, s_hi = min(slot), max(slot)
-    g0 = phase_at(0)
     lin = abs(slope) * max(-s_lo, s_hi)
-    edges = _budget_edges(np.array([w.lo, w.hi], dtype=float), lambda x: np.abs(
-        np.asarray(g0.dg(x, 1), dtype=float)) + lin, max_panels)
-
-    def measure(edges, half_edges):
+    edges = _budget_edges(
+        np.array(sorted({a, b, *_stationary_candidates(g0, a, b)}), dtype=float),
+        lambda x: np.abs(np.asarray(g0.dg(x, 1), dtype=float)) + lin)
+    nodes = 0
+    for _ in range(_MAX_ROUNDS):
+        half_edges = np.empty(2 * len(edges) - 1)
+        half_edges[0::2] = edges
+        half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
         vals, errs = np.zeros(len(slot), dtype=np.complex128), np.zeros(len(slot))
         worst = np.zeros(len(edges) - 1)
         for i in range(0, len(edges) - 1, _BLOCK_PANELS):
@@ -367,7 +346,8 @@ def _shared_s_integrals(w: WindowModel, phase_at, slope: float, ss,
             t = np.hstack((t, t_fine.reshape(j - i, 2 * _SQRT_GL)))
             base = (np.asarray(w(t), dtype=np.complex128)
                     * _phase_circle(g0.g(t)) * np.tile(_GL_W, 3))
-            z, power = _phase_circle(-slope * t), _phase_circle(-slope * s_lo * t)
+            z, power = ((_phase_circle(-slope * t), _phase_circle(-slope * s_lo * t))
+                        if slope else (1.0, 1.0))
             for s in range(s_lo, s_hi + 1):
                 if (k := slot.get(s)) is not None:
                     part = (base * power).reshape(j - i, 3, _SQRT_GL).sum(axis=2)
@@ -377,10 +357,16 @@ def _shared_s_integrals(w: WindowModel, phase_at, slope: float, ss,
                     errs[k] += err.sum()
                     np.maximum(worst[i:j], err, out=worst[i:j])
                 power *= z
-        return (vals, errs), float(errs.max()), worst
-
-    (vals, errs), _, nodes = _refine(edges, measure, tol, max_panels, 30)
-    return vals, errs, nodes
+        nodes += 3 * _SQRT_GL * len(worst)
+        if errs.max() <= tol:
+            return vals, errs, nodes
+        if 2 * len(edges) > _MAX_PANELS:
+            break
+        keep = np.ones(len(half_edges), dtype=bool)
+        keep[1::2] = worst > tol / len(worst)   # keep midpoints only where needed
+        edges = half_edges[keep]
+    raise AccuracyError(f"no convergence to tol={tol}", value=(vals, errs),
+                        error_estimate=float(errs.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +476,7 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     """
     if not 1 <= n_terms <= 3:
         raise ArgumentError(f"n_terms must be 1..3, got {n_terms}")
-    a = w.lo if J is None else max(J[0], w.lo)
-    b = w.hi if J is None else min(J[1], w.hi)
+    a, b = _window(w, J)
     pts = _stationary_candidates(g, a, b)
     if not pts:
         raise StationaryPointError("no stationary point in the window")
@@ -696,8 +681,8 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
         ss = np.arange(-s_max, s_max + 1)
         ss = ss[np.abs(gauss[ss % q]) >= 1e-13]
         if len(ss):
-            vals, errs, _ = _shared_s_integrals(wmodel, phase_at, num / den,
-                                                ss, qtol)
+            vals, errs, _ = _s_integrals(wmodel, lo, hi, phase_at(0),
+                                         num / den, ss, qtol)
             rhs = complex(np.sum(gauss[ss % q] * vals))
             quad_err = float(np.sum(np.abs(gauss[ss % q]) * errs))
     rhs *= pref

@@ -345,6 +345,41 @@ def test_malformed_numbers_are_argument_errors(tmp_path, monkeypatch, capsys,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["count", "--set", "X=1000.9"], "X"), (["count", "--set", "q=2.9"], "q"),
+    (["count", "--set", "Q=7.5"], "Q"), (["count", "--set", "a=0.5"], "a"),
+    (["count", "--set", "seed=1.5"], "seed"),
+    (["count", "--set", "threads=2.5"], "threads"),
+    (["cache", "--build", "100.5"], "build")])
+def test_fractional_integers_are_argument_errors(tmp_path, monkeypatch, capsys,
+                                                 argv, key):
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith(f"error: {key}: not an integer: ")
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_integer_keys_accept_whole_floats(capsys):
+    code, out, _ = run_cli(capsys, ["count", "--set", "X=1e4", "--set",
+                                    "seed=2.0", "--X", "1e4", "--alpha", "0.1",
+                                    "--I", "0,0.5", "--output", "json"])
+    assert code == 0
+    params = record_from_json(out).params
+    assert (params["X"], params["seed"]) == (10_000, 2)
+    assert isinstance(params["X"], int) and isinstance(params["seed"], int)
+
+
+@pytest.mark.parametrize("method", ["quad", "expansion", "both"])
+def test_oscint_reversed_J_is_an_argument_error(capsys, method):
+    code, out, err = run_cli(capsys, ["oscint", "--J", "2,1", "--method",
+                                      method])
+    assert code == 2
+    assert err.startswith("error: J: ")
+    assert out == ""
+
+
 def test_exit_code_invariant_violation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "classify_exponents", lambda *a, **k: [])
     code, _, err = run_cli(capsys, ["classify", "--t", "0.5,0.5",

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -170,7 +172,7 @@ def test_quad_tol_halving_self_consistency():
         prev = cur
 
 
-def test_quad_validation_and_accuracy_error():
+def test_quad_validation_and_accuracy_error(monkeypatch):
     g = gaussian_phase(Y=200.0, t0=1.5)
     with pytest.raises(ArgumentError):
         quad_osc(W, g, tol=1e-13)
@@ -180,13 +182,44 @@ def test_quad_validation_and_accuracy_error():
     cusp = WindowModel(fn=lambda t: np.sqrt(np.abs(np.asarray(t, float) - 1.5)),
                        lo=0.8, hi=2.2)
     lin = make_generic_phase(lambda t: 3.0 * np.asarray(t, float))
+    monkeypatch.setattr(osc, "_MAX_ROUNDS", 2)
     with pytest.raises(AccuracyError) as exc:
-        quad_osc(cusp, lin, tol=1e-12, max_rounds=2)
-    assert exc.value.value is not None
-    assert exc.value.error_estimate is not None
+        quad_osc(cusp, lin, tol=1e-12)
+    assert isinstance(exc.value.value, complex)
+    assert isinstance(exc.value.error_estimate, float)
     # with enough rounds the same integral does converge
-    ok = quad_osc(cusp, lin, tol=1e-12, max_rounds=30)
+    monkeypatch.setattr(osc, "_MAX_ROUNDS", 30)
+    ok = quad_osc(cusp, lin, tol=1e-12)
     assert abs(ok.value - exc.value.value) <= exc.value.error_estimate
+
+
+@pytest.mark.parametrize("J", [(2.0, 1.0), (1.5, 1.5), (float("nan"), 2.0)])
+def test_reversed_or_empty_J_is_an_argument_error(J):
+    g = gaussian_phase(Y=200.0, t0=1.5)
+    with pytest.raises(ArgumentError, match="J"):
+        quad_osc(W, g, J)
+    with pytest.raises(ArgumentError, match="J"):
+        stationary_expand(W, g, J=J)
+
+
+def test_J_outside_the_support_integrates_to_zero():
+    res = quad_osc(W, gaussian_phase(Y=200.0, t0=1.5), (3.0, 4.0))
+    assert (res.value, res.error_estimate, res.terms_used) == (0j, 0.0, 0)
+
+
+def test_quad_memory_is_bounded():
+    # the `oscint --phase first` default: 110,160 final panels, 4,957,200
+    # nodes; the engine works through them in blocks of _BLOCK_PANELS
+    g = make_first_phase(h=1.0, X=100_000, alpha=0.1, q=3, u=1, m=1, n=1, s=1)
+    tracemalloc.start()
+    try:
+        res = quad_osc(W, g, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.terms_used == 4_957_200
+    assert res.error_estimate <= 1e-9
+    assert peak < 32 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +463,14 @@ def _captured_s_grid(monkeypatch, verify, **case):
     """Run a Poisson check and capture the arguments of its shared-grid
     call together with the per-s values and errors it returned."""
     calls = []
-    real = osc._shared_s_integrals
+    real = osc._s_integrals
 
-    def spy(w, phase_at, slope, ss, tol, **kw):
-        out = real(w, phase_at, slope, ss, tol, **kw)
-        calls.append(((w, phase_at, slope, list(ss), tol), out))
+    def spy(w, a, b, g0, slope, ss, tol):
+        out = real(w, a, b, g0, slope, ss, tol)
+        calls.append(((w, a, b, g0, slope, list(ss), tol), out))
         return out
 
-    monkeypatch.setattr(osc, "_shared_s_integrals", spy)
+    monkeypatch.setattr(osc, "_s_integrals", spy)
     verify(**case)
     assert len(calls) == 1
     return calls[0]
@@ -460,29 +493,32 @@ def _criterion6_cases():
 @pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
 def test_shared_grid_matches_per_s_quadrature(monkeypatch, which):
     verify, case = _criterion6_cases()[which]
-    (w, phase_at, _, ss, tol), (vals, errs, _) = _captured_s_grid(
+    (w, a, b, g0, _, ss, tol), (vals, errs, _) = _captured_s_grid(
         monkeypatch, verify, **case)
+    assert (a, b) == (w.lo, w.hi)
     assert len(ss) > 10
+    s_key = "s" if which == 0 else "sigma"
     for s, val, err in zip(ss, vals, errs):
-        ref = quad_osc(w, phase_at(s), (w.lo, w.hi), tol=tol)
+        g_s = dataclasses.replace(g0, params={**g0.params, s_key: int(s)})
+        ref = quad_osc(w, g_s, (w.lo, w.hi), tol=tol)
         assert err <= tol
         assert abs(val - ref.value) <= err + ref.error_estimate, s
 
 
 def test_shared_grid_panel_cap_raises(monkeypatch):
     verify, case = _criterion6_cases()[0]
-    (w, phase_at, slope, ss, tol), _ = _captured_s_grid(monkeypatch, verify,
-                                                        **case)
+    (*grid, ss, tol), _ = _captured_s_grid(monkeypatch, verify, **case)
     # the oscillation budget alone needs ~6,000 panels here
+    monkeypatch.setattr(osc, "_MAX_PANELS", 64)
     with pytest.raises(AccuracyError) as exc:
-        osc._shared_s_integrals(w, phase_at, slope, ss, tol, max_panels=64)
+        osc._s_integrals(*grid, ss, tol)
     assert exc.value.value is None
     # the refinement rounds honour the cap too, and report what they reached
+    monkeypatch.setattr(osc, "_MAX_PANELS", 10_000)
     with pytest.raises(AccuracyError) as exc:
-        osc._shared_s_integrals(w, phase_at, slope, ss, 1e-12,
-                                max_panels=10_000)
+        osc._s_integrals(*grid, ss, 1e-12)
     vals, errs = exc.value.value
     assert len(vals) == len(errs) == len(ss)
     assert exc.value.error_estimate == errs.max() > 1e-12
     with pytest.raises(ArgumentError):
-        osc._shared_s_integrals(w, phase_at, slope, ss, 1e-13)
+        osc._s_integrals(*grid, ss, 1e-13)
