@@ -44,17 +44,33 @@ from .oscillatory import (alpha_constants, gaussian_phase, make_first_phase,
 from .smoothing import make_bump, make_partition, partition_sum
 
 _DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
-# scalar config keys: each is a --flag and a config-file/--set key of this type
+
+
+def _real(val) -> float:
+    """val as a float that is finite: nan and +-inf are rejected."""
+    f = float(val)
+    if not math.isfinite(f):
+        raise ValueError(val)
+    return f
+
+
 def _integer(val) -> int:
-    """val as an int; a float only without fractional part, so 1e9 passes."""
+    """val as an int: integer text exactly, else a number without
+    fractional part, so 1e9 passes."""
+    if isinstance(val, str):
+        try:
+            return int(val)
+        except ValueError:
+            pass
     f = float(val)
     if not f.is_integer():
         raise ValueError(val)
     return val if isinstance(val, int) else int(f)
 
 
-_SCALAR_KEYS = {"alpha": float, "X": _integer, "Q": _integer, "q": _integer,
-                "a": _integer, "h": float, "threads": _integer, "seed": _integer}
+# scalar config keys: each is a --flag and a config-file/--set key of this type
+_SCALAR_KEYS = {"alpha": _real, "X": _integer, "Q": _integer, "q": _integer,
+                "a": _integer, "h": _real, "threads": _integer, "seed": _integer}
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +187,12 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _number(key: str, val, cast=float):
+def _number(key: str, val, cast=_real):
     """cast(val), or an ArgumentError naming the key."""
     try:
         return cast(val)
     except (TypeError, ValueError, OverflowError) as e:
-        what = "an integer" if cast is _integer else "a number"
+        what = "an integer" if cast is _integer else "a finite number"
         raise ArgumentError(f"{key}: not {what}: {val!r}") from e
 
 
@@ -413,6 +429,9 @@ def cmd_decompose_check(args, cfg: RunConfig):
 
 def cmd_classify(args, cfg: RunConfig):
     if args.dyadic:
+        for flag in ("X1", "Y1"):
+            if getattr(args, flag) is None:
+                raise ArgumentError(f"classify --dyadic needs --{flag}")
         ds = tuple(_number("dyadic", x) for x in args.dyadic.split(","))
         dt = DyadicTuple(D=ds, X1=args.X1, Y1=args.Y1, eps1=args.eps1)
         witnesses = classify_dyadic(dt)
@@ -430,7 +449,7 @@ def cmd_classify(args, cfg: RunConfig):
     lead = witnesses[0]
     return (params,
             {"kind": lead.kind,
-             "witness": [list(part) for part in lead.witness],
+             "witness": lead.witness,
              "all_kinds": [w.kind for w in witnesses]}, {})
 
 
@@ -666,11 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="Type I/II/III classification")
     sp.add_argument("--t", help="normalized exponents 't1,t2,...'")
-    sp.add_argument("--sigma", type=float)
+    sp.add_argument("--sigma", type=_real)
     sp.add_argument("--dyadic", help="ten block sizes 'D1,...,D10'")
-    sp.add_argument("--X1", type=float)
-    sp.add_argument("--Y1", type=float)
-    sp.add_argument("--eps1", type=float, default=0.01)
+    sp.add_argument("--X1", type=_real)
+    sp.add_argument("--Y1", type=_real)
+    sp.add_argument("--eps1", type=_real, default=0.01)
     _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 
@@ -693,18 +712,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default="gaussian")
     sp.add_argument("--method", choices=("quad", "bound", "expansion", "both"),
                     default="both")
-    sp.add_argument("--Y", type=float, help="gaussian curvature scale")
-    sp.add_argument("--t0", type=float, help="gaussian center")
+    sp.add_argument("--Y", type=_real, help="gaussian curvature scale")
+    sp.add_argument("--t0", type=_real, help="gaussian center")
     sp.add_argument("--u", type=int, default=1)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--s", type=int, default=1)
     sp.add_argument("--sigma", type=int)
-    sp.add_argument("--window-y", type=float, default=2.0)
-    sp.add_argument("--window-delta", type=float, default=0.2)
+    sp.add_argument("--window-y", type=_real, default=2.0)
+    sp.add_argument("--window-delta", type=_real, default=0.2)
     sp.add_argument("--J", help="integration range 'a,b' (default support)")
     sp.add_argument("--n-terms", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_real, default=1e-9)
     _add_common(sp)
     sp.set_defaults(func=cmd_oscint)
 

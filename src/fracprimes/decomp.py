@@ -203,17 +203,17 @@ def _subsets_lex(indices):
     return sorted(subs)
 
 
-def classify_exponents(t, sigma: float, slack: float = SLACK) -> list[TypeWitness]:
+def classify_exponents(t, sigma: float) -> list[TypeWitness]:
     """All applicable range shapes for an exponent tuple summing to 1.
 
     Shape I:  some t_i >= 1/2 + sigma.
     Shape II: a partition (S, T) with 1/2 - sigma < sum_S <= sum_T < 1/2 + sigma.
     Shape III: three distinct indices with 2 sigma <= values <= 1/2 - sigma and
                all pairwise sums >= 1/2 + sigma.
-    Indices in witnesses are 1-based.  Boundary comparisons carry `slack`.
+    Indices in witnesses are 1-based.  Boundary comparisons carry SLACK.
     """
     t = [float(v) for v in t]
-    if any(v < -slack for v in t):
+    if any(v < -SLACK for v in t):
         raise ArgumentError("exponents must be nonnegative")
     if abs(sum(t) - 1.0) > 1e-9:
         raise ArgumentError(f"exponents must sum to 1, got {sum(t)}")
@@ -224,7 +224,7 @@ def classify_exponents(t, sigma: float, slack: float = SLACK) -> list[TypeWitnes
     out: list[TypeWitness] = []
 
     for i in range(n):
-        if t[i] >= 0.5 + sigma - slack:
+        if t[i] >= 0.5 + sigma - SLACK:
             out.append(TypeWitness(kind="I", witness=(i + 1,)))
             break
 
@@ -232,7 +232,7 @@ def classify_exponents(t, sigma: float, slack: float = SLACK) -> list[TypeWitnes
     for S in _subsets_lex(full):
         sS = sum(t[i - 1] for i in S)
         sT = 1.0 - sS
-        if sS > 0.5 - sigma - slack and sS <= sT + slack and sT < 0.5 + sigma + slack:
+        if sS > 0.5 - sigma - SLACK and sS <= sT + SLACK and sT < 0.5 + sigma + SLACK:
             T = tuple(i for i in full if i not in S)
             out.append(TypeWitness(kind="II", witness=(S, T)))
             break
@@ -241,8 +241,8 @@ def classify_exponents(t, sigma: float, slack: float = SLACK) -> list[TypeWitnes
     for tri in combinations(range(n), 3):
         vals = sorted((t[i], i + 1) for i in tri)
         v1, v2, v3 = (v for v, _ in vals)
-        if v1 >= 2 * sigma - slack and v3 <= 0.5 - sigma + slack and \
-           v1 + v2 >= 0.5 + sigma - slack:
+        if v1 >= 2 * sigma - SLACK and v3 <= 0.5 - sigma + SLACK and \
+           v1 + v2 >= 0.5 + sigma - SLACK:
             cand = tuple(i for _, i in vals)
             if best is None or cand < best:
                 best = cand
@@ -251,27 +251,27 @@ def classify_exponents(t, sigma: float, slack: float = SLACK) -> list[TypeWitnes
     return out
 
 
-def verify_witness(t, sigma: float, w: TypeWitness, slack: float = SLACK) -> bool:
+def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
     """Independent re-check of a witness against the defining inequalities."""
     t = [float(v) for v in t]
     if w.kind == "I":
         (i,) = w.witness
-        return t[i - 1] >= 0.5 + sigma - slack
+        return t[i - 1] >= 0.5 + sigma - SLACK
     if w.kind == "II":
         S, T = w.witness
         if sorted(S + T) != list(range(1, len(t) + 1)) or set(S) & set(T):
             return False
         sS = sum(t[i - 1] for i in S)
         sT = sum(t[i - 1] for i in T)
-        return (sS > 0.5 - sigma - slack and sS <= sT + slack
-                and sT < 0.5 + sigma + slack)
+        return (sS > 0.5 - sigma - SLACK and sS <= sT + SLACK
+                and sT < 0.5 + sigma + SLACK)
     if w.kind == "III":
         i, j, k = w.witness
         vals = sorted(t[x - 1] for x in (i, j, k))
         return (len({i, j, k}) == 3
-                and vals[0] >= 2 * sigma - slack
-                and vals[2] <= 0.5 - sigma + slack
-                and vals[0] + vals[1] >= 0.5 + sigma - slack)
+                and vals[0] >= 2 * sigma - SLACK
+                and vals[2] <= 0.5 - sigma + SLACK
+                and vals[0] + vals[1] >= 0.5 + sigma - SLACK)
     return False
 
 
@@ -299,16 +299,16 @@ class DyadicTuple:
         lx = math.log(self.X1)
         return [math.log(d) / lx for d in self.D]
 
-    def validate(self, slack: float = SLACK):
+    def validate(self):
         le = self.log_exponents()
         total = sum(le)
         hi = math.log(self.Y1) / math.log(self.X1)
-        if not (1.0 - slack <= total <= hi + slack):
+        if not (1.0 - SLACK <= total <= hi + SLACK):
             raise ArgumentError(
                 f"product of blocks (X1^{total:.6f}) outside [X1, Y1=X1^{hi:.6f}]")
 
 
-def classify_dyadic(dt: DyadicTuple, slack: float = SLACK) -> list[TypeWitness]:
+def classify_dyadic(dt: DyadicTuple) -> list[TypeWitness]:
     """Range shapes for a dyadic block tuple, thresholds in the exponent scale.
 
     With e_i = log_{X1} D_i:  shape I needs e_i >= 3/5 + eps1 for some
@@ -317,11 +317,11 @@ def classify_dyadic(dt: DyadicTuple, slack: float = SLACK) -> list[TypeWitness]:
     blocks among the first five with 1/5 + 2 eps1 <= e <= 2/5 - eps1 and
     pairwise sums >= 3/5 + eps1.  Witness indices are 1-based.
     """
-    dt.validate(slack=slack)
+    dt.validate()
     e = dt.log_exponents()
     eps1 = dt.eps1
-    # comparisons happen in the exponent domain; scale the slack accordingly
-    s = slack * (1.0 + abs(math.log(dt.X1)))
+    # comparisons happen in the exponent domain; scale the SLACK accordingly
+    s = SLACK * (1.0 + abs(math.log(dt.X1)))
 
     out: list[TypeWitness] = []
 
@@ -362,12 +362,11 @@ def classify_dyadic(dt: DyadicTuple, slack: float = SLACK) -> list[TypeWitness]:
     return out
 
 
-def verify_dyadic_witness(dt: DyadicTuple, w: TypeWitness,
-                          slack: float = SLACK) -> bool:
+def verify_dyadic_witness(dt: DyadicTuple, w: TypeWitness) -> bool:
     """Inequality-only re-check of a dyadic classification witness."""
     e = dt.log_exponents()
     eps1 = dt.eps1
-    s = slack * (1.0 + abs(math.log(dt.X1)))
+    s = SLACK * (1.0 + abs(math.log(dt.X1)))
     if w.kind == "I":
         (i,) = w.witness
         return 1 <= i <= 5 and e[i - 1] >= 0.6 + eps1 - s

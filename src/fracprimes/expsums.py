@@ -368,14 +368,13 @@ def phase_sum(phase: MonomialPhase) -> PhaseSumResult:
                           degenerate=phase.degenerate)
 
 
-def vdc_bound(phase: MonomialPhase, constant: float = 8.0,
-              max_pieces: int = 64) -> float:
+def vdc_bound(phase: MonomialPhase, constant: float = 8.0) -> float:
     """Second-derivative bound c * ((b-a) L2max^{1/2} + L2min^{-1/2}) summed
     over subranges on which max|f''| / min|f''| <= 4.
 
     |f''| of a monomial phase is monotone, so each piece's extremes sit at
     its endpoints; pieces split at the geometric mean until the ratio
-    condition holds.
+    condition holds, at most 64 of them.
     """
     if phase.degenerate:
         raise ArgumentError("no second-derivative bound for a degenerate phase")
@@ -384,9 +383,9 @@ def vdc_bound(phase: MonomialPhase, constant: float = 8.0,
     pieces = [(phase.lo, phase.hi)]
     done = []
     while pieces:
-        if len(pieces) + len(done) > max_pieces:
+        if len(pieces) + len(done) > 64:
             raise AccuracyError(
-                f"|f''| ratio still above 4 after {max_pieces} pieces",
+                "|f''| ratio still above 4 after 64 pieces",
                 value=None, error_estimate=None)
         a, b = pieces.pop()
         da, db = abs(float(phase.d2(a))), abs(float(phase.d2(b)))
@@ -476,10 +475,10 @@ def level_of_distribution(alpha: float) -> float:
     return 0.4 - 0.6 * alpha
 
 
-def tau_moment_constant(k: int, xmax: int, xmin: int = 100) -> float:
-    """Smallest c with sum_{n<=x} tau_k(n) <= c x (log x)^{k-1} on [xmin, xmax]."""
-    if k < 2 or xmax < xmin + 1:
-        raise ArgumentError("need k >= 2 and xmax > xmin")
+def tau_moment_constant(k: int, xmax: int) -> float:
+    """Smallest c with sum_{n<=x} tau_k(n) <= c x (log x)^{k-1} on [100, xmax]."""
+    if k < 2 or xmax < 101:
+        raise ArgumentError("need k >= 2 and xmax > 100")
     ones = np.ones(xmax + 1)
     ones[0] = 0.0
     arr = ones.copy()
@@ -487,6 +486,6 @@ def tau_moment_constant(k: int, xmax: int, xmin: int = 100) -> float:
     for _ in range(k - 1):
         arr = _dirichlet_convolve(arr, ones)
     csum = np.cumsum(arr)
-    xs = np.arange(xmin, xmax + 1, dtype=np.float64)
-    ratios = csum[xmin:] / (xs * np.log(xs) ** (k - 1))
+    xs = np.arange(100, xmax + 1, dtype=np.float64)
+    ratios = csum[100:] / (xs * np.log(xs) ** (k - 1))
     return float(np.max(ratios))

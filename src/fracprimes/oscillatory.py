@@ -373,14 +373,13 @@ def _s_integrals(w: WindowModel, a: float, b: float, g0: PhaseModel,
 # non-stationary (integration by parts) bound
 
 def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
-                        R_I: float, A_I: float, J_len: float,
-                        constant: float = 1.0) -> float:
+                        R_I: float, A_I: float, J_len: float) -> float:
     """J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}).
 
     Valid when the phase derivative exceeds R_I on the window, the
     amplitude is X_I-bounded with V_I-scaled derivatives, and the phase
     second derivative is Y_I Q_I^{-2}-ish; the leading constant is not
-    pinned by theory and defaults to 1.
+    pinned by theory and is taken as 1.
     """
     for name, val in (("X_I", X_I), ("V_I", V_I), ("Y_I", Y_I),
                       ("Q_I", Q_I), ("R_I", R_I), ("A_I", A_I),
@@ -391,7 +390,7 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
         raise ArgumentError(f"need Y_I >= 1, got {Y_I}")
     d1 = Q_I * R_I / math.sqrt(Y_I)
     d2 = R_I * V_I
-    return constant * J_len * X_I * (d1 ** (-A_I) + d2 ** (-A_I))
+    return J_len * X_I * (d1 ** (-A_I) + d2 ** (-A_I))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def stationary_values(g: PhaseModel, window=None) -> tuple[float, float]:
 
 
 def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
-                      J=None, step: float | None = None) -> OscIntegralResult:
+                      J=None) -> OscIntegralResult:
     """Truncated stationary-phase value of int w e(g) around the unique
     interior stationary point.
 
@@ -491,11 +490,10 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
                             "the phase otherwise)")
     ag2 = abs(g2)
 
-    if step is None:
-        g3 = abs(float(np.real(g.dg(t0, 3))))
-        scale2 = 0.3 / math.sqrt(ag2)
-        scale3 = (0.05 / (2 * math.pi * g3)) ** (1 / 3) if g3 > 0 else np.inf
-        step = min(0.02 * (b - a), scale2, scale3)
+    g3 = abs(float(np.real(g.dg(t0, 3))))
+    scale2 = 0.3 / math.sqrt(ag2)
+    scale3 = (0.05 / (2 * math.pi * g3)) ** (1 / 3) if g3 > 0 else np.inf
+    step = min(0.02 * (b - a), scale2, scale3)
 
     def H(t):
         return np.asarray(g.g(t), dtype=float) - g0 - 0.5 * g2 * (t - t0) ** 2
@@ -572,14 +570,6 @@ def truncation_windows(alpha: float, h: float, u: int, m: int, N: float,
 # ---------------------------------------------------------------------------
 # Poisson-summation verifications
 
-def _slot_weight(kind: str):
-    if kind == "one":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    if kind == "log":
-        return lambda x: np.log(np.asarray(x, dtype=float))
-    raise ArgumentError(f"slot weight {kind!r} not one of 'one', 'log'")
-
-
 @dataclass(frozen=True)
 class PoissonCheck:
     lhs: complex
@@ -604,10 +594,14 @@ def _character_rows(q: int, chi_index: int):
     return vals, np.fft.ifft(vals) * q
 
 
-def _partition(theta: float, X: float):
-    """The dyadic partition whose grid theta^l reaches past 4X."""
-    return make_partition(theta, max(2, math.ceil(math.log(4 * X)
-                                                  / math.log(theta))))
+_THETA = 1.1        # ratio of the dyadic grid theta^l of the Poisson blocks
+_K_BUDGET = 10 ** 4
+
+
+def _partition(X: float):
+    """The dyadic partition whose grid _THETA^l reaches past 4X."""
+    return make_partition(_THETA, max(2, math.ceil(math.log(4 * X)
+                                                   / math.log(_THETA))))
 
 
 def _snap(part, x: float) -> float:
@@ -623,8 +617,8 @@ _A_TAIL = 8.0
 def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
                    phase_at, *, pref: float, slope: tuple, lead_peak: float,
                    g_lead: float, v_width: float, curv: float, T: float,
-                   s_max: int | None, tol: float, quad_tol: float,
-                   label: str, meta: dict) -> PoissonCheck:
+                   s_max: int | None, tol: float, label: str,
+                   meta: dict) -> PoissonCheck:
     """Check lhs against  pref * sum_{|s| <= s_max} tau(chi; s) I(s),
     I(s) = int w e(g_s) over the support of w, g_s = phase_at(s).
 
@@ -677,7 +671,7 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
         # ~ 2 pi eps |g|_max int|w|; never ask the quadrature for less
         g_peak = g_lead + num * s_max * hi / den
         floor = 2 * np.pi * 2.3e-16 * g_peak * (hi - lo) * max(amp_max, 1.0)
-        qtol = max(quad_tol, 40 * floor)
+        qtol = max(1e-12, 40 * floor)
         ss = np.arange(-s_max, s_max + 1)
         ss = ss[np.abs(gauss[ss % q]) >= 1e-13]
         if len(ss):
@@ -701,38 +695,34 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
 
 def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
                          h: float, alpha: float, X: int, window: BumpWindow,
-                         theta: float = 1.1, K: float | None = None,
-                         s_max: int | None = None, tol: float = 1e-6,
-                         quad_tol: float = 1e-12, k_budget: int = 10**4,
-                         f3: str = "log") -> PoissonCheck:
-    """Check  sum_k chi(k) f3(k) Psi_K(k) psi(umnk/X) e(h (umnk)^a)
+                         s_max: int | None = None,
+                         tol: float = 1e-6) -> PoissonCheck:
+    """Check  sum_k chi(k) log(k) Psi_K(k) psi(umnk/X) e(h (umnk)^a)
             = (X/(q u m n)) sum_s tau(chi; s) I(s),
-    I(s) = int f3(Xt/(umn)) Psi_K(Xt/(umn)) psi(t) e(h (Xt)^a - X s t/(q u m n)) dt.
+    I(s) = int log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t) e(h (Xt)^a - X s t/(q u m n)) dt.
 
-    Both sides are computed independently (finite sum vs adaptive
-    quadrature); the s-sum is truncated at s_max with a reported tail bound.
+    The k-slot weight is log k; K is the grid value 1.1^l nearest the
+    k-scale at mid-plateau.  Both sides are computed independently (finite
+    sum vs adaptive quadrature); the s-sum is truncated at s_max with a
+    reported tail bound.
     """
     chiv, gauss = _character_rows(q, chi_index)
     umn = u * m * n
-    part = _partition(theta, X)
-    if K is None:
-        t_mid = 0.5 * (1 + window.y)
-        if X * t_mid / umn < 1.0:
-            raise ArgumentError(
-                f"derived block scale X*t/(u*m*n) = {X * t_mid / umn:.3g} < 1; "
-                "increase X or decrease u*m*n")
-        K = _snap(part, X * t_mid / umn)
-    else:
-        part.index_of(K)
+    part = _partition(X)
+    t_mid = 0.5 * (1 + window.y)
+    if X * t_mid / umn < 1.0:
+        raise ArgumentError(
+            f"derived block scale X*t/(u*m*n) = {X * t_mid / umn:.3g} < 1; "
+            "increase X or decrease u*m*n")
+    K = _snap(part, X * t_mid / umn)
 
-    k_lo = math.ceil(K / theta)
-    k_hi = math.floor(K * theta)
-    if k_hi - k_lo + 1 > k_budget:
-        raise ResourceLimitError(f"{k_hi - k_lo + 1} k-terms exceed {k_budget}",
-                                 estimate=k_hi - k_lo + 1, budget=k_budget)
-    f3_fn = _slot_weight(f3)
+    k_lo = math.ceil(K / _THETA)
+    k_hi = math.floor(K * _THETA)
+    if k_hi - k_lo + 1 > _K_BUDGET:
+        raise ResourceLimitError(f"{k_hi - k_lo + 1} k-terms exceed {_K_BUDGET}",
+                                 estimate=k_hi - k_lo + 1, budget=_K_BUDGET)
     ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    amp_k = (f3_fn(ks) * eval_member(part, K, ks.astype(float))
+    amp_k = (np.log(ks) * eval_member(part, K, ks.astype(float))
              * eval_bump(window, umn * ks / X))
     lhs = complex(np.sum(chiv[ks % q] * amp_k
                          * unit_phases(h, umn * ks, alpha)))
@@ -741,13 +731,13 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     # stationary s stop near T2, tails decay like s^{-A}
     tw = truncation_windows(alpha, max(h, 1e-300), u, m, n, q, X)
 
-    t_lo = max(1.0 - 2 * window.delta, umn * K / (X * theta))
-    t_hi = min(window.y + 2 * window.delta, umn * K * theta / X)
+    t_lo = max(1.0 - 2 * window.delta, umn * K / (X * _THETA))
+    t_hi = min(window.y + 2 * window.delta, umn * K * _THETA / X)
 
     def w_t(t):
         t = np.asarray(t, dtype=float)
         x = X * t / umn
-        return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
+        return np.log(x) * eval_member(part, K, x) * eval_bump(window, t)
 
     return _poisson_s_sum(
         lhs, gauss, WindowModel(fn=w_t, lo=t_lo, hi=t_hi),
@@ -755,11 +745,11 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
         pref=X / (q * umn), slope=(X, q * umn),
         lead_peak=alpha * h * X ** alpha * t_lo ** (alpha - 1),
         g_lead=abs(h) * (X * t_hi) ** alpha,
-        v_width=min(window.delta, t_lo * (1 - 1 / theta)),
+        v_width=min(window.delta, t_lo * (1 - 1 / _THETA)),
         curv=alpha * (1 - alpha) * h * X ** alpha * t_lo ** (alpha - 2),
-        T=tw.T2, s_max=s_max, tol=tol, quad_tol=quad_tol, label="s",
+        T=tw.T2, s_max=s_max, tol=tol, label="s",
         meta={"q": q, "u": u, "m": m, "n": n, "h": h, "alpha": alpha, "X": X,
-              "K": K, "theta": theta, "chi_index": chi_index, "f3": f3,
+              "K": K, "theta": _THETA, "chi_index": chi_index,
               "k_terms": int(len(ks)),
               "amp_l1": float(np.sum(np.abs(amp_k))),
               "t_support": (t_lo, t_hi)})
@@ -772,34 +762,32 @@ def _second_t0(nv, X, alpha, h, q, u, m, s):
             ** (1 / (1 - alpha)) / X)
 
 
-def _second_amplitudes(X, alpha, h, q, u, m, s, window, part, N, K,
-                       f2: str, f3: str):
+def _second_amplitudes(X, alpha, h, q, u, m, s, window, part, N, K):
     """The amplitude of the second identity in both variables.
 
-    amp_n(n)   = f2(n) n^{b/2-1} Psi_N(n) w_n(t0(n)),
-    w_tau(tau) = f2(n) Psi_N(n) tau^{b/2-1} w_n(tau^{1/(1-a)}),
+    amp_n(n)   = n^{b/2-1} Psi_N(n) w_n(t0(n)),
+    w_tau(tau) = Psi_N(n) tau^{b/2-1} w_n(tau^{1/(1-a)}),
     n = n(tau) = s X^{1-a} tau / (a h q u m),
-    with w_n(t) = f3(Xt/(umn)) Psi_K(Xt/(umn)) psi(t).
+    with w_n(t) = log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t); the n-slot weight
+    is 1 and the k-slot weight log k.
     """
     cst = alpha_constants(alpha)
-    f2_fn = _slot_weight(f2)
-    f3_fn = _slot_weight(f3)
 
     def w_n(nv, t):
         t = np.asarray(t, dtype=float)
         x = X * t / (u * m * nv)
-        return f3_fn(x) * eval_member(part, K, x) * eval_bump(window, t)
+        return np.log(x) * eval_member(part, K, x) * eval_bump(window, t)
 
     def amp_n(nv):
         nv = np.asarray(nv, dtype=float)
         t0s = _second_t0(nv, X, alpha, h, q, u, m, s)
-        return (f2_fn(nv) * np.power(nv, cst.beta / 2 - 1)
+        return (np.power(nv, cst.beta / 2 - 1)
                 * eval_member(part, N, nv) * w_n(nv, t0s))
 
     def w_tau(taus):
         taus = np.asarray(taus, dtype=float)
         nv = s * X ** (1 - alpha) * taus / (alpha * h * q * u * m)
-        return (f2_fn(nv) * eval_member(part, N, nv)
+        return (eval_member(part, N, nv)
                 * np.power(taus, cst.beta / 2 - 1)
                 * w_n(nv, np.power(taus, cst.delta)))
 
@@ -808,24 +796,23 @@ def _second_amplitudes(X, alpha, h, q, u, m, s, window, part, N, K,
 
 def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
                           h: float, alpha: float, X: int, window: BumpWindow,
-                          N: float | None = None, K: float | None = None,
-                          theta: float = 1.1, sigma_max: int | None = None,
-                          tol: float = 1e-6, quad_tol: float = 1e-12,
-                          f2: str = "one", f3: str = "log") -> PoissonCheck:
+                          sigma_max: int | None = None,
+                          tol: float = 1e-6) -> PoissonCheck:
     """Check the second summation identity
 
-      sum_n chi(n) f2(n) n^{b/2-1} Psi_N(n) w_n(t0(n)) e(Phi(n))
+      sum_n chi(n) n^{b/2-1} Psi_N(n) w_n(t0(n)) e(Phi(n))
         = (1/q) (s X^{1-a}/(a h q u m))^{b/2} sum_sig tau(chi; sig) J(sig),
 
     where t0(n) = (a h q u m n / s)^{1/(1-a)} / X is the interior critical
     point, Phi(n) = (1-a)(a^a h)^{1/(1-a)} (q u m n / s)^{a/(1-a)} its phase
-    value, w_n(t) = f3(Xt/(umn)) Psi_K(Xt/(umn)) psi(t), and
+    value, w_n(t) = log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t), and
 
-      J(sig) = int f2(n(T)) Psi_N(n(T)) T^{b/2-1} w_{n(T)}(T^{1/(1-a)})
+      J(sig) = int Psi_N(n(T)) T^{b/2-1} w_{n(T)}(T^{1/(1-a)})
                e((1-a) h X^a T^{a/(1-a)} - X^{1-a} s sig T/(a h q^2 u m)) dT
 
-    with n(T) = s X^{1-a} T / (a h q u m).  The identity is Poisson
-    summation in n after the substitution T = a h q u m n / (s X^{1-a}).
+    with n(T) = s X^{1-a} T / (a h q u m); the n-slot weight is 1 and the
+    k-slot weight log k, and N, K are grid values 1.1^l.  The identity is
+    Poisson summation in n after the substitution T = a h q u m n / (s X^{1-a}).
     """
     if s <= 0:
         raise ArgumentError(f"need s >= 1, got {s}")
@@ -833,31 +820,25 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta
 
-    part = _partition(theta, X)
-    if N is None:
-        # place the critical point of the n-sum mid-plateau
-        n_star = s * X ** (1 - alpha) * (0.5 * (1 + window.y)) ** (1 / delta) \
-            / (alpha * h * q * u * m)
-        N = _snap(part, n_star)
-    else:
-        part.index_of(N)
+    part = _partition(X)
+    # place the critical point of the n-sum mid-plateau
+    n_star = s * X ** (1 - alpha) * (0.5 * (1 + window.y)) ** (1 / delta) \
+        / (alpha * h * q * u * m)
+    N = _snap(part, n_star)
     aq = alpha * h * q * u * m
 
-    if K is None:
-        k_star = X * float(_second_t0(N, X, alpha, h, q, u, m, s)) / (u * m * N)
-        if k_star < 1.0:
-            raise ArgumentError(
-                f"derived block scale X*t0/(u*m*N) = {k_star:.3g} < 1; "
-                "the N-block is too wide for this (h, s, X) combination")
-        K = _snap(part, k_star)
-    else:
-        part.index_of(K)
+    k_star = X * float(_second_t0(N, X, alpha, h, q, u, m, s)) / (u * m * N)
+    if k_star < 1.0:
+        raise ArgumentError(
+            f"derived block scale X*t0/(u*m*N) = {k_star:.3g} < 1; "
+            "the N-block is too wide for this (h, s, X) combination")
+    K = _snap(part, k_star)
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
-                                      N, K, f2, f3)
+                                      N, K)
 
     # ----- lhs: finite n-sum ------------------------------------------------
-    n_lo = math.ceil(N / theta)
-    n_hi = math.floor(N * theta)
+    n_lo = math.ceil(N / _THETA)
+    n_hi = math.floor(N * _THETA)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     amp = amp_n(ns)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
@@ -874,8 +855,8 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
 
     # ----- rhs: sigma-sum of transformed integrals --------------------------
     tw = truncation_windows(alpha, h, u, m, N, q, X, s=s)
-    tau_lo = aq * (N / theta) / (s * X ** (1 - alpha))
-    tau_hi = aq * (N * theta) / (s * X ** (1 - alpha))
+    tau_lo = aq * (N / _THETA) / (s * X ** (1 - alpha))
+    tau_hi = aq * (N * _THETA) / (s * X ** (1 - alpha))
     phase_at = partial(make_second_phase, h, X, alpha, q, u, m, s)
     lead = (1 - alpha) * h * X ** alpha
     return _poisson_s_sum(
@@ -885,11 +866,11 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
         lead_peak=float(np.max(np.abs(lead * gamma * np.power(
             np.linspace(tau_lo, tau_hi, 257), gamma - 1)))),
         g_lead=lead * tau_hi ** gamma,
-        v_width=tau_lo * (1 - 1 / theta),
+        v_width=tau_lo * (1 - 1 / _THETA),
         curv=abs(float(phase_at(1).dg(0.5 * (tau_lo + tau_hi), 2))),
-        T=tw.T4, s_max=sigma_max, tol=tol, quad_tol=quad_tol, label="sigma",
+        T=tw.T4, s_max=sigma_max, tol=tol, label="sigma",
         meta={"q": q, "u": u, "m": m, "s": s, "h": h, "alpha": alpha, "X": X,
-              "N": N, "K": K, "theta": theta, "chi_index": chi_index,
+              "N": N, "K": K, "theta": _THETA, "chi_index": chi_index,
               "n_terms": int(len(ns)),
               "amp_l1": float(np.sum(np.abs(amp))),
               "tau_support": (tau_lo, tau_hi), "T3": tw.T3, "T4": tw.T4})
@@ -897,38 +878,38 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
 
 def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
                                      h: float, alpha: float, X: int,
-                                     window: BumpWindow, N: float, K: float,
-                                     theta: float = 1.1,
-                                     quad_tol: float = 1e-9) -> tuple[complex, complex]:
+                                     window: BumpWindow, N: float,
+                                     K: float) -> tuple[complex, complex]:
     """The sigma-integral in the n-variable vs in the tau-variable.
 
     Returns (direct, transformed): direct = int F(n) e(Phi(n) - sigma n/q) dn,
-    transformed = (s X^{1-a}/(a h q u m))^{b/2} J(sigma).  Equality is the
-    change-of-variables T = a h q u m n/(s X^{1-a}) with its Jacobian.
+    transformed = (s X^{1-a}/(a h q u m))^{b/2} J(sigma), both by quad_osc
+    to tol 1e-9.  Equality is the change-of-variables
+    T = a h q u m n/(s X^{1-a}) with its Jacobian.
     """
     cst = alpha_constants(alpha)
-    part = _partition(theta, X)
+    part = _partition(X)
     part.index_of(N)
     part.index_of(K)
     aq = alpha * h * q * u * m
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
-                                      N, K, "one", "log")
+                                      N, K)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
 
     def phase_n(nv):
         nv = np.asarray(nv, dtype=float)
         return phi_scale * np.power(q * u * m * nv / s, cst.gamma) - sigma * nv / q
 
-    n_lo, n_hi = N / theta, N * theta
+    n_lo, n_hi = N / _THETA, N * _THETA
     direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
                       make_generic_phase(phase_n, dg=None, fd_step=1e-2),
-                      (n_lo, n_hi), tol=quad_tol)
+                      (n_lo, n_hi), tol=1e-9)
 
     tau_lo = aq * n_lo / (s * X ** (1 - alpha))
     tau_hi = aq * n_hi / (s * X ** (1 - alpha))
     phase = make_second_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
                               s=s, sigma=sigma)
     transformed = quad_osc(WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
-                           phase, (tau_lo, tau_hi), tol=quad_tol)
+                           phase, (tau_lo, tau_hi), tol=1e-9)
     pref = (s * X ** (1 - alpha) / aq) ** (cst.beta / 2)
     return direct.value, pref * transformed.value

@@ -89,12 +89,12 @@ class DyadicPartition:
         if self.max_power < 1:
             raise ArgumentError(f"need max_power >= 1, got {self.max_power}")
 
-    def index_of(self, D: float, rtol: float = 1e-9) -> int:
-        """Grid index l with theta^l == D, else ArgumentError."""
+    def index_of(self, D: float) -> int:
+        """Grid index l with theta^l == D to 1e-9 relative, else ArgumentError."""
         if D <= 0:
             raise ArgumentError(f"grid values are positive, got {D}")
         l = round(math.log(D) / math.log(self.theta))
-        if 0 <= l <= self.max_power and abs(self.theta ** l - D) <= rtol * D:
+        if 0 <= l <= self.max_power and abs(self.theta ** l - D) <= 1e-9 * D:
             return l
         raise ArgumentError(f"{D} is not on the grid theta^l, theta={self.theta}")
 
@@ -158,10 +158,9 @@ _STENCILS = {
 }
 
 
-def richardson_derivative(fn, x: float, order: int, h0: float,
-                          levels: int = 3) -> float | complex:
+def richardson_derivative(fn, x: float, order: int, h0: float) -> float | complex:
     """order-th derivative of fn at x by central differences on steps
-    h0, h0/2, ... with Richardson extrapolation across the levels.
+    h0, h0/2, h0/4 with Richardson extrapolation across the three levels.
 
     fn may be real- or complex-valued; a result with zero imaginary part
     comes back as a float.
@@ -172,7 +171,7 @@ def richardson_derivative(fn, x: float, order: int, h0: float,
         offs, coefs = _STENCILS[order]
         ests = []
         h = h0
-        for _ in range(levels):
+        for _ in range(3):
             val = sum(c * complex(fn(x + o * h)) for o, c in zip(offs, coefs))
             ests.append(val / h ** order)
             h /= 2.0
@@ -185,12 +184,11 @@ def richardson_derivative(fn, x: float, order: int, h0: float,
     return val if abs(val.imag) > 0 else val.real
 
 
-def window_derivative(w: BumpWindow, j: int, x: float, h0: float | None = None) -> float:
-    """j-th derivative of the bump at x, j <= 6 (numerical)."""
+def window_derivative(w: BumpWindow, j: int, x: float) -> float:
+    """j-th derivative of the bump at x, j <= 6 (numerical, first step delta/32)."""
     if not (0 <= j <= 6):
         raise ArgumentError(f"derivative order {j} unsupported (need 0 <= j <= 6)")
     if j == 0:
         return eval_bump(w, float(x))
-    if h0 is None:
-        h0 = w.delta / 32.0
-    return richardson_derivative(lambda t: eval_bump(w, t), float(x), j, h0)
+    return richardson_derivative(lambda t: eval_bump(w, t), float(x), j,
+                                 w.delta / 32.0)

@@ -14,10 +14,22 @@ from fracprimes.cli import (ResultRecord, main, record_from_json,
 import oracles
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name} in the artifact")
+
+
 def run_cli(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of one CLI call; an argparse rejection
+    counts as its exit code.  A JSON stdout must be strict JSON."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    out = captured.out
+    if out and (out.startswith("{") or "json" in argv):
+        json.loads(out, parse_constant=_reject_constant)
+    return code, out, captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +103,26 @@ def test_expsum_two_prime_example(capsys):
     assert abs(rec.values["value"] - want) < 1e-10
 
 
-def test_classify_cli(capsys):
-    code, out, _ = run_cli(capsys, ["classify", "--t", "0.5,0.5",
-                                    "--sigma", "0.15", "--output", "json"])
+@pytest.mark.parametrize("t, sigma, kind, witness", [
+    ("0.7,0.3", "0.15", "I", [1]), ("0.5,0.5", "0.15", "II", [[1], [2]]),
+    ("0.32,0.32,0.32,0.04", "0.12", "III", [1, 2, 3])],
+    ids=["I", "II", "III"])
+def test_classify_cli(capsys, t, sigma, kind, witness):
+    code, out, _ = run_cli(capsys, ["classify", "--t", t, "--sigma", sigma,
+                                    "--output", "json"])
     assert code == 0
     rec = record_from_json(out)
-    assert rec.values["kind"] == "II"
-    assert rec.values["witness"] == [[1], [2]]
+    assert rec.values["kind"] == kind
+    assert rec.values["witness"] == witness
+
+
+@pytest.mark.parametrize("given, missing", [("--X1", "--Y1"), ("--Y1", "--X1")])
+def test_classify_dyadic_needs_X1_and_Y1(capsys, given, missing):
+    code, out, err = run_cli(capsys, ["classify", "--dyadic",
+                                      "1000,2,2,2,2,2,2,2,2,2", given, "1000"])
+    assert code == 2
+    assert err.startswith("error: ") and missing in err
+    assert out == ""
 
 
 def test_kloosterman_cli(capsys):
@@ -369,6 +394,27 @@ def test_integer_keys_accept_whole_floats(capsys):
     params = record_from_json(out).params
     assert (params["X"], params["seed"]) == (10_000, 2)
     assert isinstance(params["X"], int) and isinstance(params["seed"], int)
+    # integers above 2^53 are kept exactly, as a flag and through --set
+    for argv in (["--seed", "9007199254740993"],
+                 ["--set", "seed=9007199254740993"]):
+        code, out, _ = run_cli(capsys, ["level", *argv, "--output", "json"])
+        assert code == 0
+        assert record_from_json(out).params["seed"] == 2 ** 53 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--X", "1000", "--h", "nan"], ["level", "--alpha", "inf"],
+    ["kloosterman", "--set", "h=inf"], ["count", "--set", "C=inf"],
+    ["count", "--set", "A_I=-inf"], ["count", "--I", "0,nan"],
+    ["oscint", "--method", "quad", "--tol", "inf"], ["oscint", "--Y", "nan"],
+    ["oscint", "--J", "1,inf"], ["oscint", "--window-y", "1e400"],
+    ["classify", "--t", "nan,0.5"], ["classify", "--t", "0.5,0.5",
+                                     "--sigma", "nan"]])
+def test_non_finite_reals_are_argument_errors(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--output", "json"])
+    assert code == 2
+    assert "error: " in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("method", ["quad", "expansion", "both"])
