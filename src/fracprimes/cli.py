@@ -46,26 +46,29 @@ from .smoothing import make_bump, make_partition, partition_sum
 _DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
 
 
-def _real(val) -> float:
-    """val as a float that is finite: nan and +-inf are rejected."""
-    f = float(val)
+def _real(text: str) -> float:
+    """text as a float that is finite: nan and +-inf are rejected."""
+    f = float(text)
     if not math.isfinite(f):
-        raise ValueError(val)
+        raise ValueError(text)
     return f
 
 
-def _integer(val) -> int:
-    """val as an int: integer text exactly, else a number without
+def _integer(text: str) -> int:
+    """text as an int: integer text exactly, else a number without
     fractional part, so 1e9 passes."""
-    if isinstance(val, str):
-        try:
-            return int(val)
-        except ValueError:
-            pass
-    f = float(val)
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    f = float(text)
     if not f.is_integer():
-        raise ValueError(val)
-    return val if isinstance(val, int) else int(f)
+        raise ValueError(text)
+    return int(f)
+
+
+# argparse names the type of a rejected value by its cast's __name__
+_real.__name__, _integer.__name__ = "real", "integer"
 
 
 # scalar config keys: each is a --flag and a config-file/--set key of this type
@@ -116,21 +119,9 @@ class RunConfig:
         return d
 
 
-def _parse_scalar(text: str):
-    s = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(s)
-        except ValueError:
-            pass
-    if "," in s:
-        return tuple(_parse_scalar(p) for p in s.split(","))
-    return s
-
-
 def load_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' comments; values are int/float/tuple
-    where they parse as such, else strings."""
+    """Flat ``key = value`` lines; '#' comments; values stay stripped text
+    until the cast for their key reads them."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -142,7 +133,7 @@ def load_config_file(path: str) -> dict:
                     raise ArgumentError(
                         f"{path}:{lineno}: expected key = value, got {raw!r}")
                 key, val = line.split("=", 1)
-                out[key.strip()] = _parse_scalar(val)
+                out[key.strip()] = val.strip()
     except OSError as e:
         raise ArgumentError(f"cannot read config {path}: {e}") from e
     return out
@@ -156,7 +147,7 @@ def config_from_args(args) -> RunConfig:
         if "=" not in item:
             raise ArgumentError(f"--set expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
-        kv[key.strip()] = _parse_scalar(val)
+        kv[key.strip()] = val.strip()
 
     constants = dict(_DEFAULT_CONSTANTS)
     fields = {}
@@ -168,7 +159,7 @@ def config_from_args(args) -> RunConfig:
         elif key in _SCALAR_KEYS:
             fields[key] = _number(key, val, _SCALAR_KEYS[key])
         elif key in ("cache_path", "output"):
-            fields[key] = str(val)
+            fields[key] = val
         else:
             raise ArgumentError(f"unknown config key {key!r}")
     fields["constants"] = constants
@@ -196,9 +187,9 @@ def _number(key: str, val, cast=_real):
         raise ArgumentError(f"{key}: not {what}: {val!r}") from e
 
 
-def _interval(val) -> tuple:
-    """'c,d' text, or a config file's parsed pair, as two floats."""
-    parts = val if isinstance(val, tuple) else str(val).split(",")
+def _interval(val: str) -> tuple:
+    """'c,d' text as two floats."""
+    parts = val.split(",")
     if len(parts) != 2:
         raise ArgumentError(f"interval must be 'c,d', got {val!r}")
     return tuple(_number("interval", x) for x in parts)
@@ -649,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve", help="count primes in a range")
-    sp.add_argument("--lo", type=int)
-    sp.add_argument("--hi", type=int)
+    sp.add_argument("--lo", type=_integer)
+    sp.add_argument("--hi", type=_integer)
     _add_common(sp)
     sp.set_defaults(func=cmd_sieve)
 
@@ -665,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("expsum", help="exponential sum over primes")
-    sp.add_argument("--Y", type=int, help="upper end (default 2X)")
+    sp.add_argument("--Y", type=_integer, help="upper end (default 2X)")
     _add_common(sp)
     sp.set_defaults(func=cmd_expsum)
 
@@ -676,10 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose-check",
                         help="von Mangoldt decomposition residuals")
-    sp.add_argument("--nmax", type=int, default=3000)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--n", type=int, help="show the terms for a single n")
-    sp.add_argument("--show", type=int, default=20)
+    sp.add_argument("--nmax", type=_integer, default=3000)
+    sp.add_argument("--k", type=_integer, default=5)
+    sp.add_argument("--n", type=_integer, help="show the terms for a single n")
+    sp.add_argument("--show", type=_integer, default=20)
     _add_common(sp)
     sp.set_defaults(func=cmd_decompose_check)
 
@@ -694,16 +685,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("kloosterman", help="Kloosterman sums and Weil margins")
-    sp.add_argument("--u", type=int, default=1)
-    sp.add_argument("--v", type=int, default=1)
+    sp.add_argument("--u", type=_integer, default=1)
+    sp.add_argument("--v", type=_integer, default=1)
     sp.add_argument("--table", action="store_true",
                     help="full (u, v) table summary for the modulus")
     _add_common(sp)
     sp.set_defaults(func=cmd_kloosterman)
 
     sp = sub.add_parser("gauss", help="character Gauss sums")
-    sp.add_argument("--chi-index", type=int, default=1)
-    sp.add_argument("--s", type=int, default=1)
+    sp.add_argument("--chi-index", type=_integer, default=1)
+    sp.add_argument("--s", type=_integer, default=1)
     _add_common(sp)
     sp.set_defaults(func=cmd_gauss)
 
@@ -714,15 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     sp.add_argument("--Y", type=_real, help="gaussian curvature scale")
     sp.add_argument("--t0", type=_real, help="gaussian center")
-    sp.add_argument("--u", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--sigma", type=int)
+    sp.add_argument("--u", type=_integer, default=1)
+    sp.add_argument("--m", type=_integer, default=1)
+    sp.add_argument("--n", type=_integer, default=1)
+    sp.add_argument("--s", type=_integer, default=1)
+    sp.add_argument("--sigma", type=_integer)
     sp.add_argument("--window-y", type=_real, default=2.0)
     sp.add_argument("--window-delta", type=_real, default=0.2)
     sp.add_argument("--J", help="integration range 'a,b' (default support)")
-    sp.add_argument("--n-terms", type=int, default=1)
+    sp.add_argument("--n-terms", type=_integer, default=1)
     sp.add_argument("--tol", type=_real, default=1e-9)
     _add_common(sp)
     sp.set_defaults(func=cmd_oscint)

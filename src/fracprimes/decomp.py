@@ -9,6 +9,11 @@ arrays instead of per-n tuple enumeration.
 `classify_exponents` and `classify_dyadic` decide which of the three range
 shapes (a single large factor, a balanced bilinear split, or three medium
 factors) a factorization pattern supports, and return canonical witnesses.
+Both run one search, `_shapes`: the dyadic thresholds 3/5 + eps1,
+2/5 - eps1 and 1/5 + 2 eps1 of Heath-Brown's identity are the exponent
+thresholds 1/2 + sigma, 1/2 - sigma and 2 sigma at sigma = 1/10 + eps1.
+`verify_witness` and `verify_dyadic_witness` re-check witnesses against the
+defining inequalities, independently of the search.
 """
 
 from __future__ import annotations
@@ -203,6 +208,44 @@ def _subsets_lex(indices):
     return sorted(subs)
 
 
+def _shapes(e, total, hi, lo, lo3, s, first) -> list[TypeWitness]:
+    """The range shapes of exponents e summing to `total`, one witness each.
+
+    I:   the first i < first with e_i >= hi;
+    II:  the first subset S in lexicographic order with lo < sum_S < hi and
+         sum_S <= total - sum_S (T, the rest, is the other side);
+    III: the least value-ordered triple among the first `first` indices with
+         every value in [lo3, lo] and the two smaller ones summing to >= hi.
+    Every comparison carries the slack s.  Witness indices are 1-based.
+    """
+    out: list[TypeWitness] = []
+
+    for i in range(first):
+        if e[i] >= hi - s:
+            out.append(TypeWitness(kind="I", witness=(i + 1,)))
+            break
+
+    full = tuple(range(1, len(e) + 1))
+    for S in _subsets_lex(full):
+        sS = sum(e[i - 1] for i in S)
+        if lo - s < sS < hi + s and sS <= total - sS + s:
+            T = tuple(i for i in full if i not in S)
+            out.append(TypeWitness(kind="II", witness=(S, T)))
+            break
+
+    best = None
+    for tri in combinations(range(first), 3):
+        vals = sorted((e[i], i + 1) for i in tri)
+        v1, v2, v3 = (v for v, _ in vals)
+        if v1 >= lo3 - s and v3 <= lo + s and v1 + v2 >= hi - s:
+            cand = tuple(i for _, i in vals)
+            if best is None or cand < best:
+                best = cand
+    if best is not None:
+        out.append(TypeWitness(kind="III", witness=best))
+    return out
+
+
 def classify_exponents(t, sigma: float) -> list[TypeWitness]:
     """All applicable range shapes for an exponent tuple summing to 1.
 
@@ -219,36 +262,7 @@ def classify_exponents(t, sigma: float) -> list[TypeWitness]:
         raise ArgumentError(f"exponents must sum to 1, got {sum(t)}")
     if not (0.1 < sigma < 0.5):
         raise ArgumentError(f"need sigma in (1/10, 1/2), got {sigma}")
-
-    n = len(t)
-    out: list[TypeWitness] = []
-
-    for i in range(n):
-        if t[i] >= 0.5 + sigma - SLACK:
-            out.append(TypeWitness(kind="I", witness=(i + 1,)))
-            break
-
-    full = tuple(range(1, n + 1))
-    for S in _subsets_lex(full):
-        sS = sum(t[i - 1] for i in S)
-        sT = 1.0 - sS
-        if sS > 0.5 - sigma - SLACK and sS <= sT + SLACK and sT < 0.5 + sigma + SLACK:
-            T = tuple(i for i in full if i not in S)
-            out.append(TypeWitness(kind="II", witness=(S, T)))
-            break
-
-    best = None
-    for tri in combinations(range(n), 3):
-        vals = sorted((t[i], i + 1) for i in tri)
-        v1, v2, v3 = (v for v, _ in vals)
-        if v1 >= 2 * sigma - SLACK and v3 <= 0.5 - sigma + SLACK and \
-           v1 + v2 >= 0.5 + sigma - SLACK:
-            cand = tuple(i for _, i in vals)
-            if best is None or cand < best:
-                best = cand
-    if best is not None:
-        out.append(TypeWitness(kind="III", witness=best))
-    return out
+    return _shapes(t, 1.0, 0.5 + sigma, 0.5 - sigma, 2 * sigma, SLACK, len(t))
 
 
 def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
@@ -256,7 +270,7 @@ def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
     t = [float(v) for v in t]
     if w.kind == "I":
         (i,) = w.witness
-        return t[i - 1] >= 0.5 + sigma - SLACK
+        return 1 <= i <= len(t) and t[i - 1] >= 0.5 + sigma - SLACK
     if w.kind == "II":
         S, T = w.witness
         if sorted(S + T) != list(range(1, len(t) + 1)) or set(S) & set(T):
@@ -266,10 +280,12 @@ def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
         return (sS > 0.5 - sigma - SLACK and sS <= sT + SLACK
                 and sT < 0.5 + sigma + SLACK)
     if w.kind == "III":
-        i, j, k = w.witness
-        vals = sorted(t[x - 1] for x in (i, j, k))
-        return (len({i, j, k}) == 3
-                and vals[0] >= 2 * sigma - SLACK
+        idx = w.witness
+        if len(idx) != 3 or len(set(idx)) != 3 or \
+           not all(1 <= i <= len(t) for i in idx):
+            return False
+        vals = sorted(t[i - 1] for i in idx)
+        return (vals[0] >= 2 * sigma - SLACK
                 and vals[2] <= 0.5 - sigma + SLACK
                 and vals[0] + vals[1] >= 0.5 + sigma - SLACK)
     return False
@@ -277,7 +293,7 @@ def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
 
 @dataclass(frozen=True)
 class DyadicTuple:
-    """Ten dyadic block sizes with their admissible product window."""
+    """Ten dyadic block sizes whose product lies in [X1, Y1]."""
 
     D: tuple
     X1: float
@@ -293,73 +309,33 @@ class DyadicTuple:
             raise ArgumentError(f"need eps1 in (0, 0.2), got {self.eps1}")
         if not (1 < self.X1 <= self.Y1):
             raise ArgumentError("need 1 < X1 <= Y1")
+        total = sum(self.log_exponents())
+        hi = math.log(self.Y1) / math.log(self.X1)
+        if not (1.0 - SLACK <= total <= hi + SLACK):
+            raise ArgumentError(
+                f"product of blocks (X1^{total:.6f}) outside [X1, Y1=X1^{hi:.6f}]")
 
     def log_exponents(self):
         """log_{X1} D_i for each block."""
         lx = math.log(self.X1)
         return [math.log(d) / lx for d in self.D]
 
-    def validate(self):
-        le = self.log_exponents()
-        total = sum(le)
-        hi = math.log(self.Y1) / math.log(self.X1)
-        if not (1.0 - SLACK <= total <= hi + SLACK):
-            raise ArgumentError(
-                f"product of blocks (X1^{total:.6f}) outside [X1, Y1=X1^{hi:.6f}]")
-
 
 def classify_dyadic(dt: DyadicTuple) -> list[TypeWitness]:
     """Range shapes for a dyadic block tuple, thresholds in the exponent scale.
 
-    With e_i = log_{X1} D_i:  shape I needs e_i >= 3/5 + eps1 for some
-    i <= 5; shape II needs a subset S of all ten blocks with
-    2/5 - eps1 < sum_S e < 3/5 + eps1; shape III needs three distinct
-    blocks among the first five with 1/5 + 2 eps1 <= e <= 2/5 - eps1 and
-    pairwise sums >= 3/5 + eps1.  Witness indices are 1-based.
+    The shapes of `classify_exponents` at sigma = 1/10 + eps1, on
+    e_i = log_{X1} D_i: shape I needs e_i >= 3/5 + eps1 for some i <= 5;
+    shape II needs a subset S of all ten blocks with 2/5 - eps1 < sum_S e <
+    3/5 + eps1 and sum_S e <= sum_T e; shape III needs three distinct blocks
+    among the first five with 1/5 + 2 eps1 <= e <= 2/5 - eps1 and pairwise
+    sums >= 3/5 + eps1.  Witness indices are 1-based.
     """
-    dt.validate()
     e = dt.log_exponents()
     eps1 = dt.eps1
     # comparisons happen in the exponent domain; scale the SLACK accordingly
     s = SLACK * (1.0 + abs(math.log(dt.X1)))
-
-    out: list[TypeWitness] = []
-
-    for i in range(5):
-        if e[i] >= 0.6 + eps1 - s:
-            out.append(TypeWitness(kind="I", witness=(i + 1,)))
-            break
-
-    full = tuple(range(1, 11))
-    fallback = None
-    for S in _subsets_lex(full):
-        sS = sum(e[i - 1] for i in S)
-        if 0.4 - eps1 + s < sS < 0.6 + eps1 - s:
-            sT = sum(e) - sS
-            if sS <= sT + s:
-                T = tuple(i for i in full if i not in S)
-                out.append(TypeWitness(kind="II", witness=(S, T)))
-                break
-            if fallback is None:
-                fallback = TypeWitness(
-                    kind="II",
-                    witness=(S, tuple(i for i in full if i not in S)))
-    else:
-        if fallback is not None:
-            out.append(fallback)
-
-    best = None
-    for tri in combinations(range(5), 3):
-        vals = sorted((e[i], i + 1) for i in tri)
-        v1, v2, v3 = (v for v, _ in vals)
-        if v1 >= 0.2 + 2 * eps1 - s and v3 <= 0.4 - eps1 + s and \
-           v1 + v2 >= 0.6 + eps1 - s:
-            cand = tuple(i for _, i in vals)
-            if best is None or cand < best:
-                best = cand
-    if best is not None:
-        out.append(TypeWitness(kind="III", witness=best))
-    return out
+    return _shapes(e, sum(e), 0.6 + eps1, 0.4 - eps1, 0.2 + 2 * eps1, s, 5)
 
 
 def verify_dyadic_witness(dt: DyadicTuple, w: TypeWitness) -> bool:
@@ -378,7 +354,8 @@ def verify_dyadic_witness(dt: DyadicTuple, w: TypeWitness) -> bool:
         return 0.4 - eps1 - s < sS < 0.6 + eps1 + s
     if w.kind == "III":
         idx = w.witness
-        if len(set(idx)) != 3 or not all(1 <= i <= 5 for i in idx):
+        if len(idx) != 3 or len(set(idx)) != 3 or \
+           not all(1 <= i <= 5 for i in idx):
             return False
         vals = sorted(e[i - 1] for i in idx)
         return (vals[0] >= 0.2 + 2 * eps1 - s

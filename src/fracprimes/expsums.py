@@ -5,8 +5,8 @@ Phase arguments h*n^alpha are reduced mod 1 in float64 up to 2**12 (error
 ~ value * 2^-52) and above that by `_anchored_frac`: exact 50-digit anchors
 and a float64 expansion around them, within the bound its docstring states
 (below 1e-11).  The 50 digits come from a private mpmath context
-(`mp_context`), never from the process-global `mpmath.mp`, so the
-reductions are thread-safe.
+(`_MP50`), never from the process-global `mpmath.mp`, so the reductions,
+and the second-kind Poisson coefficient in `oscillatory`, are thread-safe.
 
 The prime sums (`exp_sum_primes`, `weighted_sum_W`) and `phase_sum`
 accumulate through `block_sum`, which reduces fixed 2**16-element blocks in
@@ -34,15 +34,10 @@ BLOCK = 1 << 16
 # ---------------------------------------------------------------------------
 # phase argument reduction
 
-def mp_context(dps: int) -> mpmath.MPContext:
-    """A private mpmath context at `dps` digits: unlike `mpmath.workdps`, it
-    never switches the process-global `mpmath.mp`, so threads can share it."""
-    ctx = mpmath.MPContext()
-    ctx.dps = dps
-    return ctx
-
-
-_MP50 = mp_context(50)
+# a private 50-digit context: unlike `mpmath.workdps`, it never switches the
+# process-global `mpmath.mp`, so threads can share it
+_MP50 = mpmath.MPContext()
+_MP50.dps = 50
 
 
 def reduced_phase(h, n, alpha: float) -> float:
@@ -221,15 +216,9 @@ class MonomialPhase:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    X: int
-    Q: int
-    alpha: float
-    c: float
-    d: float
     per_q: tuple       # ((q, worst_a, deviation), ...)
     total: float
     pi_I: int
-    moduli: str = "all"
 
 
 class SumResult(NamedTuple):
@@ -339,9 +328,7 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
         worst = float(dev[worst_a])
         rows.append((q, worst_a, worst))
         total += worst
-    return DiscrepancyReport(X=X, Q=Q, alpha=win.alpha, c=win.c, d=win.d,
-                             per_q=tuple(rows), total=total, pi_I=pi_I,
-                             moduli=moduli)
+    return DiscrepancyReport(per_q=tuple(rows), total=total, pi_I=pi_I)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +401,6 @@ class BilinearResult:
     cauchy_lhs: float     # |value|^2
     cauchy_rhs: float     # (sum |gamma|^2) * (sum_m |T_m|^2)
     diagonal: float       # n1 = n2 part of sum_m |T_m|^2
-    offdiag: float
 
 
 def _coeff_array(c, ks: np.ndarray) -> np.ndarray:
@@ -460,8 +446,7 @@ def bilinear_sum(m_range, n_range, gamma, beta, q: int, a: int, h, alpha: float,
     return BilinearResult(value=value, count=int(count),
                           cauchy_lhs=abs(value) ** 2,
                           cauchy_rhs=sum_g2 * sum_t2,
-                          diagonal=diagonal,
-                          offdiag=sum_t2 - diagonal)
+                          diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------

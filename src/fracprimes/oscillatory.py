@@ -31,13 +31,11 @@ import numpy as np
 from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
-from .expsums import (REDUCTION_THRESHOLD, _anchored_frac, mp_context,
-                      unit_phases)
+from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, unit_phases
 from .smoothing import (BumpWindow, eval_bump, eval_member, make_partition,
                         richardson_derivative)
 
 _SQRT_GL = 15
-_MP60 = mp_context(60)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_SQRT_GL)
 
 
@@ -265,6 +263,8 @@ def _budget_edges(edges: np.ndarray, speed) -> np.ndarray:
         mid = 0.5 * (edges[1:] + edges[:-1])
         width = edges[1:] - edges[:-1]
         speeds = np.maximum.reduce([speed(x) for x in (edges[:-1], mid, edges[1:])])
+        if not np.all(np.isfinite(speeds)):
+            raise ArgumentError("the phase speed |g'| is not finite on J")
         need = np.ceil(np.sqrt(np.maximum(width * speeds / 0.5, 1.0))).astype(int)
         # sqrt: split gradually; large factors converge in a few sweeps
         if np.all(need <= 1):
@@ -846,10 +846,10 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     big = np.abs(phi_vals) > REDUCTION_THRESHOLD
     ph = np.mod(phi_vals, 1.0)
     if np.any(big):
-        a = _MP60.mpf(alpha)
+        a = _MP50.mpf(alpha)
         ex = a / (1 - a)
         sc = (1 - a) * (a ** alpha * h) ** (1 / (1 - a))
-        ph[big] = _anchored_frac(sc * _MP60.power(_MP60.mpf(q * u * m) / s, ex),
+        ph[big] = _anchored_frac(sc * _MP50.power(_MP50.mpf(q * u * m) / s, ex),
                                  ns[big], ex)
     lhs = complex(np.sum(chiv[ns % q] * amp * np.exp(2j * np.pi * ph)))
 

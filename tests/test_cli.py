@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import math
@@ -400,6 +401,48 @@ def test_integer_keys_accept_whole_floats(capsys):
         code, out, _ = run_cli(capsys, ["level", *argv, "--output", "json"])
         assert code == 0
         assert record_from_json(out).params["seed"] == 2 ** 53 + 1
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["expsum", "--X", "1000", "--Y", "2e3"], "Y", 2000),
+    (["sieve", "--hi", "1e3"], "hi", 1000),
+    (["decompose-check", "--n", "3.6e2", "--show", "2"], "n", 360),
+    (["kloosterman", "--q", "7", "--u", "2e0"], "u", 2)])
+def test_integer_flags_accept_whole_floats(capsys, argv, key, want):
+    code, out, _ = run_cli(capsys, [*argv, "--output", "json"])
+    assert code == 0
+    assert record_from_json(out).params[key] == want
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["expsum", "--X", "1000", "--Y", "2.5"], "invalid integer value: '2.5'"),
+    (["sieve", "--hi", "abc"], "invalid integer value: 'abc'"),
+    (["level", "--alpha", "nan"], "invalid real value: 'nan'")])
+def test_flag_cast_errors_name_the_type(capsys, argv, what):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert what in err
+    assert out == ""
+
+
+def test_every_flag_casts_through_integer_or_real():
+    # one text-to-value cast per kind, so every integer flag takes 1e3 and
+    # every real flag rejects nan
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sp in subparsers.choices.items():
+        for action in sp._actions:
+            assert action.type not in (int, float), (name, action.dest)
+
+
+def test_config_text_values_are_kept_verbatim(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cache_path = 1e3\nX = 1e4\n")
+    code, out, _ = run_cli(capsys, ["level", "--config", str(cfg),
+                                    "--output", "json"])
+    assert code == 0
+    params = record_from_json(out).params
+    assert (params["cache_path"], params["X"]) == ("1e3", 10_000)
 
 
 @pytest.mark.parametrize("argv", [

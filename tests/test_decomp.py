@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import von_mangoldt
-from fracprimes.decomp import (DyadicTuple, classify_dyadic,
+from fracprimes.decomp import (DyadicTuple, TypeWitness, classify_dyadic,
                                classify_exponents, hb_residual_scan,
                                hb_signed_total_range, heath_brown_terms,
                                verify_dyadic_witness, verify_witness)
@@ -140,6 +141,18 @@ def test_classifier_validation():
         classify_exponents((-0.1, 1.1), 0.15)
 
 
+@pytest.mark.parametrize("t, sigma, w", [
+    ((0.3, 0.7), 0.15, TypeWitness("I", (0,))),
+    ((0.3, 0.7), 0.15, TypeWitness("I", (3,))),
+    ((0.35, 0.35, 0.30), 0.15, TypeWitness("III", (0, 1, 2))),
+    ((0.35, 0.35, 0.30), 0.15, TypeWitness("III", (2, 3, 4))),
+    ((0.35, 0.35, 0.30), 0.15, TypeWitness("III", (1, 2, 3, 3)))],
+    ids=["I-0", "I-past-end", "III-0", "III-past-end", "III-four"])
+def test_verify_witness_rejects_malformed_indices(t, sigma, w):
+    # index 0 would wrap around to the last exponent, which qualifies
+    assert verify_witness(t, sigma, w) is False
+
+
 @given(st.integers(min_value=2, max_value=6),
        st.floats(min_value=0.101, max_value=0.499),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -198,3 +211,40 @@ def test_dyadic_invariant_validation():
         # product of the D_i falls below X1
         classify_dyadic(DyadicTuple(D=(X1 ** 0.3,) + (1.0,) * 9,
                                     X1=X1, Y1=2 * X1, eps1=0.01))
+
+
+def test_dyadic_type_ii_window_includes_its_slack_edges():
+    # sum_S e for S = {1} sits within the slack of 2/5 - eps1; the verifier
+    # accepts it, so the search must find it too
+    dt = DyadicTuple(D=(X1 ** 0.39, X1 ** 0.61) + (1.0,) * 8,
+                     X1=X1, Y1=2 * X1, eps1=0.01)
+    wits = classify_dyadic(dt)
+    assert [(w.kind, w.witness) for w in wits] == [
+        ("I", (2,)), ("II", ((1,), tuple(range(2, 11))))]
+    for w in wits:
+        assert verify_dyadic_witness(dt, w)
+
+
+def test_dyadic_finds_type_ii_whenever_the_verifier_accepts_one():
+    rng = np.random.default_rng(29)
+    subsets = [S for r in range(1, 10)
+               for S in itertools.combinations(range(1, 11), r)]
+    for _ in range(60):
+        e = rng.dirichlet(np.full(10, 0.5)) * rng.uniform(1.0, 1.05)
+        dt = DyadicTuple(D=tuple(float(X1 ** x) for x in e),
+                         X1=X1, Y1=X1 ** 1.05, eps1=float(rng.uniform(0.001, 0.19)))
+        wits = classify_dyadic(dt)
+        for w in wits:
+            assert verify_dyadic_witness(dt, w)
+        accepted = any(verify_dyadic_witness(dt, TypeWitness("II", (
+            S, tuple(i for i in range(1, 11) if i not in S)))) for S in subsets)
+        assert accepted == any(w.kind == "II" for w in wits)
+
+
+def test_verify_dyadic_witness_needs_exactly_three_blocks():
+    # (1, 2, 3) is no Type III triple (e_3 > 2/5 - eps1), but the sorted
+    # values of (1, 1, 2, 3) pass every inequality in their first three
+    dt = DyadicTuple(D=(X1 ** 0.31, X1 ** 0.31, X1 ** 0.45) + (1.0,) * 7,
+                     X1=X1, Y1=X1 ** 1.1, eps1=0.01)
+    assert not verify_dyadic_witness(dt, TypeWitness("III", (1, 2, 3)))
+    assert not verify_dyadic_witness(dt, TypeWitness("III", (1, 1, 2, 3)))

@@ -202,6 +202,12 @@ def test_reversed_or_empty_J_is_an_argument_error(J):
         stationary_expand(W, g, J=J)
 
 
+def test_non_finite_phase_is_an_argument_error():
+    # a NaN speed must stop before the panel budget casts it to int
+    with pytest.raises(ArgumentError, match="not finite"):
+        quad_osc(W, gaussian_phase(float("nan"), 1.5))
+
+
 def test_J_outside_the_support_integrates_to_zero():
     res = quad_osc(W, gaussian_phase(Y=200.0, t0=1.5), (3.0, 4.0))
     assert (res.value, res.error_estimate, res.terms_used) == (0j, 0.0, 0)
