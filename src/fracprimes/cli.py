@@ -480,25 +480,19 @@ def cmd_gauss(args, cfg: RunConfig):
 
 def _oscint_phase(args, cfg: RunConfig):
     if args.phase == "gaussian":
-        Y = args.Y if args.Y is not None else 200.0
-        t0 = args.t0 if args.t0 is not None else 1.5
-        return gaussian_phase(Y, t0), {"Y": Y, "t0": t0}
-    q = cfg.q if cfg.q is not None else 3
-    u, m, n, s = args.u, args.m, args.n, args.s
+        return gaussian_phase(200.0 if args.Y is None else args.Y,
+                              1.5 if args.t0 is None else args.t0)
+    kw = dict(h=cfg.h, X=cfg.X, alpha=cfg.alpha, u=args.u, m=args.m,
+              s=args.s, q=3 if cfg.q is None else cfg.q)
     if args.phase == "first":
-        ph = make_first_phase(h=cfg.h, X=cfg.X, alpha=cfg.alpha,
-                              q=q, u=u, m=m, n=n, s=s)
-    else:
-        sigma = args.sigma if args.sigma is not None else 1
-        ph = make_second_phase(h=cfg.h, X=cfg.X, alpha=cfg.alpha,
-                               q=q, u=u, m=m, s=s, sigma=sigma)
-    return ph, dict(ph.params)
+        return make_first_phase(n=args.n, **kw)
+    return make_second_phase(sigma=1 if args.sigma is None else args.sigma, **kw)
 
 
 def cmd_oscint(args, cfg: RunConfig):
     bump = make_bump(args.window_y, args.window_delta)
     w = window_from_bump(bump)
-    phase, ph_params = _oscint_phase(args, cfg)
+    phase = _oscint_phase(args, cfg)
     J = _interval(args.J) if args.J else (w.lo, w.hi)
     values, flags = {}, {}
     if args.method in ("quad", "both"):
@@ -532,7 +526,7 @@ def cmd_oscint(args, cfg: RunConfig):
     return ({"phase": args.phase, "method": args.method,
              "window_y": args.window_y, "window_delta": args.window_delta,
              "J": list(J), "n_terms": args.n_terms, "tol": args.tol,
-             **{f"phase_{k}": v for k, v in ph_params.items()}},
+             **{f"phase_{k}": v for k, v in phase.params.items()}},
             values, flags)
 
 

@@ -148,6 +148,8 @@ def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
     """
     if nmax < 2:
         raise ArgumentError(f"need nmax >= 2, got {nmax}")
+    if k < 1:
+        raise ArgumentError(f"need k >= 1, got k={k}")
     mu = mobius_range(nmax).astype(np.float64)
     ns = np.arange(nmax + 1, dtype=np.float64)
     logs = np.zeros(nmax + 1)

@@ -9,8 +9,9 @@ Four layers, bottom up:
 * `nonstationary_bound` — the integration-by-parts tail bound
   J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) for phases whose
   derivative stays away from zero on the window.
-* `stationary_point` / `stationary_values` / `stationary_expand` — closed
-  forms for the two concrete phase families plus the truncated asymptotic
+* `stationary_point` / `stationary_values` / `stationary_expand` — the
+  stationary point in closed form where the phase carries one (both Poisson
+  families) or by a scan of the window, plus the truncated asymptotic
   expansion  e(g(t0)) / |g''|^{1/2} * sum_n p_n  with
   p_n = e^{-i pi/4} / n! * (4 pi i)^{-n} |g''|^{-n} G^{(2n)}(t0)
   (the e(x) = e^{2 pi i x} convention; G = w * e(H), H the phase minus its
@@ -18,6 +19,9 @@ Four layers, bottom up:
 * `poisson_verify_first` / `poisson_verify_second` — both finite-vs-integral
   identities obtained by Poisson summation on a character-twisted smooth
   sum, each side computed independently.
+
+A `PhaseModel` is g with exact derivatives.  Its `params` only records the
+constructor's arguments: to change a parameter, call the constructor again.
 """
 
 from __future__ import annotations
@@ -89,105 +93,115 @@ def window_from_bump(w: BumpWindow) -> WindowModel:
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Phase g with derivatives to order 4.
+    """Phase g with exact derivatives g^(k), k = 1..4.
 
-    kind "first-poisson":  g(t) = h (X t)^a - X s t / (q u m n)
-    kind "second-poisson": g(T) = (1-a) h X^a T^g0 - X^{1-a} s sig T/(a h q^2 u m)
-                           (g0 = a/(1-a))
-    kind "generic":        user callables; missing derivatives by central
-                           differences.
+    params only records the constructor's arguments; evaluation never reads
+    it.  closed, if given, returns (t0, g(t0), g''(t0)) at the zero of g' or
+    raises StationaryPointError; without it a window scan finds t0.
     """
 
-    kind: str
     params: dict
-    _g: object = None
-    _dg: object = None     # generic only: callable (t, order) or None
+    _g: object
+    _dg: object            # callable (t, order)
+    closed: object = None
 
-    def __post_init__(self):
-        if self.kind not in ("first-poisson", "second-poisson", "generic"):
-            raise ArgumentError(f"unknown phase kind {self.kind!r}")
-
-    # -- evaluation ---------------------------------------------------------
     def g(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.kind == "first-poisson":
-            return (p["h"] * np.power(p["X"] * t, p["alpha"])
-                    - p["X"] * p["s"] * t / (p["q"] * p["u"] * p["m"] * p["n"]))
-        if self.kind == "second-poisson":
-            a = p["alpha"]
-            c = alpha_constants(a)
-            lead = (1 - a) * p["h"] * p["X"] ** a
-            lin = (p["X"] ** (1 - a) * p["s"] * p["sigma"]
-                   / (a * p["h"] * p["q"] ** 2 * p["u"] * p["m"]))
-            return lead * np.power(t, c.gamma) - lin * t
-        return self._g(t)
+        return self._g(np.asarray(t, dtype=float))
 
     def dg(self, t, order: int = 1):
         if not 1 <= order <= 4:
             raise ArgumentError(f"derivative order {order} not in [1, 4]")
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.kind == "first-poisson":
-            a = p["alpha"]
-            coef = p["h"] * p["X"] ** a
-            for r in range(order):
-                coef *= a - r
-            out = coef * np.power(t, a - order)
-            if order == 1:
-                out = out - p["X"] * p["s"] / (p["q"] * p["u"] * p["m"] * p["n"])
-            return out
-        if self.kind == "second-poisson":
-            a = p["alpha"]
-            c = alpha_constants(a)
-            coef = (1 - a) * p["h"] * p["X"] ** a
-            for r in range(order):
-                coef *= c.gamma - r
-            out = coef * np.power(t, c.gamma - order)
-            if order == 1:
-                out = out - (p["X"] ** (1 - a) * p["s"] * p["sigma"]
-                             / (a * p["h"] * p["q"] ** 2 * p["u"] * p["m"]))
-            return out
-        if self._dg is not None:
-            return self._dg(t, order)
-        # central differences on the user callable
-        h0 = self.params.get("fd_step", 1e-3)
-        scalar = np.ndim(t) == 0
-        ts = np.atleast_1d(t)
-        out = np.array([richardson_derivative(self._g, float(x), order, h0)
-                        for x in ts])
-        return out[0] if scalar else out
+        return self._dg(np.asarray(t, dtype=float), order)
+
+
+def _power_phase(params, c, k, e, num, den, closed) -> PhaseModel:
+    """g(t) = c (k t)^e - num t / den."""
+    def g(t):
+        return c * np.power(k * t, e) - num * t / den
+
+    def dg(t, order):
+        coef = c * k ** e
+        for r in range(order):
+            coef *= e - r
+        out = coef * np.power(t, e - order)
+        return out - num / den if order == 1 else out
+
+    return PhaseModel(params, g, dg, closed)
+
+
+def _need_positive(**ints):
+    for name, val in ints.items():
+        if val < 1:
+            raise ArgumentError(f"need {name} >= 1, got {val}")
 
 
 def make_first_phase(h, X, alpha, q, u, m, n, s) -> PhaseModel:
-    return PhaseModel(kind="first-poisson",
-                      params=dict(h=h, X=X, alpha=alpha, q=q, u=u, m=m, n=n, s=s))
+    """g(t) = h (X t)^a - X s t / (q u m n)."""
+    _need_positive(q=q, u=u, m=m, n=n)
+
+    def closed():
+        if h <= 0 or s <= 0:
+            raise StationaryPointError("no stationary point: need h > 0, s > 0")
+        a = alpha
+        t0 = (a * h * q * u * m * n / s) ** (1 / (1 - a)) / X
+        # beta/gamma/delta stay finite on all of 0 < a < 1, unlike the
+        # second-iteration constants, so compute them inline
+        beta, gamma, delta = (2 - a) / (1 - a), a / (1 - a), 1 / (1 - a)
+        qumn = q * u * m * n
+        val = (1 - a) * (a ** a * h) ** delta * (qumn / s) ** gamma
+        curv = -a * (1 - a) * h * X ** 2 * (s / (a * h * qumn)) ** beta
+        return t0, val, curv
+
+    return _power_phase(dict(h=h, X=X, alpha=alpha, q=q, u=u, m=m, n=n, s=s),
+                        h, X, alpha, X * s, q * u * m * n, closed)
 
 
 def make_second_phase(h, X, alpha, q, u, m, s, sigma) -> PhaseModel:
-    return PhaseModel(kind="second-poisson",
-                      params=dict(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
-                                  s=s, sigma=sigma))
+    """g(T) = (1-a) h X^a T^{a/(1-a)} - X^{1-a} s sig T / (a h q^2 u m)."""
+    _need_positive(q=q, u=u, m=m)
+    if h == 0:
+        raise ArgumentError("the second-kind phase needs h != 0")
+    a = alpha
+    c = alpha_constants(a)
+
+    def closed():
+        if h <= 0 or s * sigma <= 0:
+            raise StationaryPointError("no stationary point: need h > 0, "
+                                       "s*sigma > 0")
+        B = (a * h * q) ** 2 * u * m / (s * sigma)
+        t0 = B ** c.xi / X ** (1 - a)
+        val = (1 - 2 * a) * h * B ** c.eta
+        curv = -(a * (1 - 2 * a) / (1 - a)) * h \
+            * X ** (2 * (1 - a)) * (1.0 / B) ** c.omega
+        return t0, val, curv
+
+    lin = X ** (1 - a) * s * sigma / (a * h * q ** 2 * u * m)
+    return _power_phase(dict(h=h, X=X, alpha=alpha, q=q, u=u, m=m, s=s,
+                             sigma=sigma),
+                        (1 - a) * h * X ** a, 1, c.gamma, lin, 1, closed)
 
 
-def make_generic_phase(g, dg=None, **params) -> PhaseModel:
-    return PhaseModel(kind="generic", params=params, _g=g, _dg=dg)
+def make_generic_phase(g, dg, **params) -> PhaseModel:
+    """A phase from g and its exact derivatives dg(t, order)."""
+    return PhaseModel(params, g, dg)
 
 
 def gaussian_phase(Y: float, t0: float) -> PhaseModel:
     """g(t) = -Y (t - t0)^2 / 2 with exact derivatives."""
+    if not (math.isfinite(Y) and math.isfinite(t0)):
+        raise ArgumentError(f"gaussian phase: Y={Y}, t0={t0} not finite")
+
     def g(t):
-        return -0.5 * Y * (np.asarray(t, dtype=float) - t0) ** 2
+        return -0.5 * Y * (t - t0) ** 2
 
     def dg(t, order):
-        t = np.asarray(t, dtype=float)
         if order == 1:
             return -Y * (t - t0)
         if order == 2:
             return -Y * np.ones_like(t)
         return np.zeros_like(t)
 
-    return PhaseModel(kind="generic", params={"Y": Y, "t0": t0}, _g=g, _dg=dg)
+    return PhaseModel({"Y": Y, "t0": t0}, g, dg)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +226,18 @@ def _gl_nodes(edges: np.ndarray):
 
 
 def _stationary_candidates(phase: PhaseModel, a: float, b: float) -> list[float]:
-    """Zeros of g' in (a, b); closed forms where available, else a scan."""
-    out = []
-    if phase.kind in ("first-poisson", "second-poisson"):
+    """Zeros of g' in (a, b), by the phase's closed form or else a scan."""
+    if phase.closed is not None:
         try:
             t0 = stationary_point(phase)
         except StationaryPointError:
             return []
-        if a < t0 < b:
-            out.append(t0)
-        return out
+        return [t0] if a < t0 < b else []
     grid = np.linspace(a, b, 257)
     d = np.asarray(phase.dg(grid, 1), dtype=float)
     sign = np.sign(d)
-    for i in np.flatnonzero(d[1:-1] == 0.0) + 1:   # exact zeros on the grid
-        out.append(float(grid[i]))
+    # exact zeros on the grid, then one bisection per sign change
+    out = [float(grid[i]) for i in np.flatnonzero(d[1:-1] == 0.0) + 1]
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
         lo_t, hi_t = grid[i], grid[i + 1]
         for _ in range(60):
@@ -397,28 +408,15 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
 # stationary phase
 
 def stationary_point(g: PhaseModel, window=None) -> float:
-    """The zero of g' (closed form for the two concrete kinds)."""
-    p = g.params
-    if g.kind == "first-poisson":
-        if p["h"] <= 0 or p["s"] <= 0:
-            raise StationaryPointError("no stationary point: need h > 0, s > 0")
-        a = p["alpha"]
-        t0 = (a * p["h"] * p["q"] * p["u"] * p["m"] * p["n"] / p["s"]) \
-            ** (1 / (1 - a)) / p["X"]
-    elif g.kind == "second-poisson":
-        if p["h"] <= 0 or p["s"] * p["sigma"] <= 0:
-            raise StationaryPointError("no stationary point: need h > 0, "
-                                       "s*sigma > 0")
-        a = p["alpha"]
-        c = alpha_constants(a)
-        t0 = ((a * p["h"] * p["q"]) ** 2 * p["u"] * p["m"]
-              / (p["s"] * p["sigma"])) ** c.xi / p["X"] ** (1 - a)
+    """The zero of g'; a phase without a closed form needs the window."""
+    if g.closed is not None:
+        t0 = g.closed()[0]
     else:
         if window is None:
             raise ArgumentError("generic phases need an explicit window")
         pts = _stationary_candidates(g, window[0], window[1])
         if not pts:
-            raise StationaryPointError("no stationary point in window")
+            raise StationaryPointError("no stationary point in the window")
         if len(pts) > 1:
             raise StationaryPointError(
                 f"{len(pts)} stationary points in window; decompose the range")
@@ -435,29 +433,10 @@ def stationary_point(g: PhaseModel, window=None) -> float:
 
 
 def stationary_values(g: PhaseModel, window=None) -> tuple[float, float]:
-    """(g(t0), g''(t0)); closed forms for the two concrete kinds."""
-    p = g.params
-    if g.kind == "first-poisson":
-        t0 = stationary_point(g, window)
-        a = p["alpha"]
-        # beta/gamma/delta stay finite on all of 0 < a < 1, unlike the
-        # second-iteration constants, so compute them inline
-        beta, gamma, delta = (2 - a) / (1 - a), a / (1 - a), 1 / (1 - a)
-        qumn = p["q"] * p["u"] * p["m"] * p["n"]
-        val = (1 - a) * (a ** a * p["h"]) ** delta * (qumn / p["s"]) ** gamma
-        curv = -a * (1 - a) * p["h"] * p["X"] ** 2 \
-            * (p["s"] / (a * p["h"] * qumn)) ** beta
-        return val, curv
-    if g.kind == "second-poisson":
-        t0 = stationary_point(g, window)
-        a = p["alpha"]
-        c = alpha_constants(a)
-        B = (a * p["h"] * p["q"]) ** 2 * p["u"] * p["m"] / (p["s"] * p["sigma"])
-        val = (1 - 2 * a) * p["h"] * B ** c.eta
-        curv = -(a * (1 - 2 * a) / (1 - a)) * p["h"] \
-            * p["X"] ** (2 * (1 - a)) * (1.0 / B) ** c.omega
-        return val, curv
+    """(g(t0), g''(t0)) at the zero of g'."""
     t0 = stationary_point(g, window)
+    if g.closed is not None:
+        return g.closed()[1:]
     return float(np.real(g.g(t0))), float(np.real(g.dg(t0, 2)))
 
 
@@ -476,15 +455,8 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     if not 1 <= n_terms <= 3:
         raise ArgumentError(f"n_terms must be 1..3, got {n_terms}")
     a, b = _window(w, J)
-    pts = _stationary_candidates(g, a, b)
-    if not pts:
-        raise StationaryPointError("no stationary point in the window")
-    if len(pts) > 1:
-        raise StationaryPointError(
-            f"{len(pts)} stationary points; decompose the range first")
-    t0 = pts[0]
-    g0, g2 = stationary_values(g, (a, b)) if g.kind != "generic" \
-        else (float(np.real(g.g(t0))), float(np.real(g.dg(t0, 2))))
+    t0 = stationary_point(g, (a, b))
+    g0, g2 = stationary_values(g, (a, b))
     if g2 >= 0:
         raise ArgumentError("expansion implemented for g'' < 0 (conjugate "
                             "the phase otherwise)")
@@ -706,6 +678,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     sum vs adaptive quadrature); the s-sum is truncated at s_max with a
     reported tail bound.
     """
+    _need_positive(q=q, u=u, m=m, n=n)
     chiv, gauss = _character_rows(q, chi_index)
     umn = u * m * n
     part = _partition(X)
@@ -814,8 +787,9 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     k-slot weight log k, and N, K are grid values 1.1^l.  The identity is
     Poisson summation in n after the substitution T = a h q u m n / (s X^{1-a}).
     """
-    if s <= 0:
-        raise ArgumentError(f"need s >= 1, got {s}")
+    _need_positive(s=s, q=q, u=u, m=m)
+    if h == 0:
+        raise ArgumentError("the second-kind phase needs h != 0")
     chiv, gauss = _character_rows(q, chi_index)
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta
@@ -895,14 +869,10 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
                                       N, K)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
-
-    def phase_n(nv):
-        nv = np.asarray(nv, dtype=float)
-        return phi_scale * np.power(q * u * m * nv / s, cst.gamma) - sigma * nv / q
-
     n_lo, n_hi = N / _THETA, N * _THETA
     direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
-                      make_generic_phase(phase_n, dg=None, fd_step=1e-2),
+                      _power_phase({}, phi_scale, q * u * m / s, cst.gamma,
+                                   sigma, q, None),   # Phi(n) - sigma n / q
                       (n_lo, n_hi), tol=1e-9)
 
     tau_lo = aq * n_lo / (s * X ** (1 - alpha))

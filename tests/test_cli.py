@@ -469,6 +469,23 @@ def test_oscint_reversed_J_is_an_argument_error(capsys, method):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["oscint", "--phase", "second", "--h", "0"],
+    ["oscint", "--phase", "second", "--m", "0"],
+    ["oscint", "--phase", "first", "--n", "0", "--method", "quad"],
+    ["oscint", "--phase", "first", "--q", "0", "--method", "bound"],
+    ["oscint", "--phase", "first", "--u", "-1", "--method", "quad"],
+    ["decompose-check", "--k", "0", "--nmax", "50"],
+    ["decompose-check", "--k", "-1", "--nmax", "50"]])
+def test_degenerate_integers_are_argument_errors(capsys, argv):
+    # q, u, m, n below 1, a second-kind h of 0 and a Heath-Brown k below 1
+    # have no phase or identity to evaluate
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "error: " in err
+    assert out == ""
+
+
 def test_exit_code_invariant_violation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "classify_exponents", lambda *a, **k: [])
     code, _, err = run_cli(capsys, ["classify", "--t", "0.5,0.5",

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +27,13 @@ import oracles
 
 BUMP = BumpWindow(y=2.0, delta=0.2)
 W = window_from_bump(BUMP)
+
+
+def _exact(*derivs):
+    """dg(t, order) from the callables for g', g'', ...; zero beyond them."""
+    def dg(t, order):
+        return derivs[order - 1](t) if order <= len(derivs) else np.zeros_like(t)
+    return dg
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,9 @@ def test_stationary_point_inversion_to_one():
 
 
 def test_stationary_point_generic_quadratic():
-    g = make_generic_phase(lambda t: -(t - 2.0) ** 2)
+    g = make_generic_phase(lambda t: -(t - 2.0) ** 2,
+                           _exact(lambda t: -2 * (t - 2.0),
+                                  lambda t: np.full_like(t, -2.0)))
     assert abs(stationary_point(g, window=(0.0, 4.0)) - 2.0) < 1e-8
 
 
@@ -122,6 +130,25 @@ def test_stationary_values_first_closed_forms():
     assert abs(abs(curv) - abs(fd)) < 1e-5 * abs(fd)
 
 
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_closed_forms_match_the_window_scan(which):
+    # the closed forms each phase carries against a scan of the same g, g'
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        alpha = float(rng.uniform(0.05, 0.45))
+        X = float(10 ** rng.uniform(2, 6))
+        h = float(rng.uniform(0.5, 1000.0))
+        q, u, m, n, s, sigma = (int(v) for v in rng.integers(1, 13, 6))
+        ph = (make_first_phase(h, X, alpha, q, u, m, n, s) if which == "first"
+              else make_second_phase(h, X, alpha, q, u, m, s, sigma))
+        t0 = stationary_point(ph)
+        window = (0.5 * t0, 2.0 * t0)
+        scan = make_generic_phase(ph.g, ph.dg)
+        assert stationary_point(scan, window) == pytest.approx(t0, rel=1e-10)
+        assert stationary_values(scan, window) == pytest.approx(
+            stationary_values(ph), rel=1e-10)
+
+
 def test_stationary_values_second_sign():
     for s, sigma in [(1, 1), (2, 3), (5, 2)]:
         g = make_second_phase(h=3, X=1000, alpha=0.1, q=3, u=1, m=2,
@@ -136,7 +163,8 @@ def test_stationary_values_second_sign():
 # quadrature
 
 def test_quad_no_oscillation_is_window_mass():
-    g0 = make_generic_phase(lambda t: np.zeros_like(np.asarray(t, float)))
+    g0 = make_generic_phase(lambda t: np.zeros_like(np.asarray(t, float)),
+                            _exact())
     res = quad_osc(W, g0, tol=1e-10)
     ref = oracles.quad_oracle(lambda t: eval_bump(BUMP, t), lambda t: 0.0,
                               0.8, 2.2)
@@ -150,7 +178,8 @@ def test_quad_riemann_lebesgue_decay():
     # the slope; keep slopes small enough to stay above the float64 floor
     out = []
     for slope in (0.5, 4.0):
-        g = make_generic_phase(lambda t, R=slope: R * np.asarray(t, float))
+        g = make_generic_phase(lambda t, R=slope: R * np.asarray(t, float),
+                               _exact(lambda t, R=slope: np.full_like(t, R)))
         out.append(abs(quad_osc(W, g, tol=1e-10).value))
     assert out[1] < out[0] / 2
 
@@ -181,7 +210,8 @@ def test_quad_validation_and_accuracy_error(monkeypatch):
     from fracprimes.oscillatory import WindowModel
     cusp = WindowModel(fn=lambda t: np.sqrt(np.abs(np.asarray(t, float) - 1.5)),
                        lo=0.8, hi=2.2)
-    lin = make_generic_phase(lambda t: 3.0 * np.asarray(t, float))
+    lin = make_generic_phase(lambda t: 3.0 * np.asarray(t, float),
+                             _exact(lambda t: np.full_like(t, 3.0)))
     monkeypatch.setattr(osc, "_MAX_ROUNDS", 2)
     with pytest.raises(AccuracyError) as exc:
         quad_osc(cusp, lin, tol=1e-12)
@@ -287,7 +317,9 @@ def test_expand_H_vanishes_to_second_order():
 
 
 def test_expand_positive_curvature_rejected():
-    g = make_generic_phase(lambda t: +100.0 * (np.asarray(t, float) - 1.5) ** 2)
+    g = make_generic_phase(lambda t: +100.0 * (np.asarray(t, float) - 1.5) ** 2,
+                           _exact(lambda t: 200.0 * (t - 1.5),
+                                  lambda t: np.full_like(t, 200.0)))
     with pytest.raises(ArgumentError, match="conjugate"):
         stationary_expand(W, g, n_terms=1)
 
@@ -503,9 +535,9 @@ def test_shared_grid_matches_per_s_quadrature(monkeypatch, which):
         monkeypatch, verify, **case)
     assert (a, b) == (w.lo, w.hi)
     assert len(ss) > 10
-    s_key = "s" if which == 0 else "sigma"
+    make, s_key = [(make_first_phase, "s"), (make_second_phase, "sigma")][which]
     for s, val, err in zip(ss, vals, errs):
-        g_s = dataclasses.replace(g0, params={**g0.params, s_key: int(s)})
+        g_s = make(**{**g0.params, s_key: int(s)})
         ref = quad_osc(w, g_s, (w.lo, w.hi), tol=tol)
         assert err <= tol
         assert abs(val - ref.value) <= err + ref.error_estimate, s
