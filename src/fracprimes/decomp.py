@@ -4,7 +4,7 @@
 (-1)^(j-1) C(k,j) sum_{d_1...d_{2j} = n, d_{j+1..2j} <= V} log(d_1) *
 mu(d_{j+1}) ... mu(d_{2j}), valid whenever n <= V^k.  `hb_residual_scan`
 checks the identity over a whole initial segment using Dirichlet-convolution
-arrays instead of per-n tuple enumeration.
+arrays instead of per-n tuple enumeration, looping over the sparse mu-blocks.
 
 `classify_exponents` and `classify_dyadic` decide which of the three range
 shapes (a single large factor, a balanced bilinear split, or three medium
@@ -127,14 +127,16 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None,
 
 
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[n] = sum_{d | n} a[d] * b[n/d] on index range [0, N]; index 0 unused."""
+    """c[n] = sum_{d | n} a[d] * b[n/d] on [0, N], index 0 unused, looping over
+    the sparser side (b's in descending j, so c[n] still sums in ascending d)."""
     n = len(a) - 1
     c = np.zeros(n + 1, dtype=np.float64)
-    for i in range(1, n + 1):
-        ai = a[i]
-        if ai != 0.0:
-            k = n // i
-            c[i::i] += ai * b[1 : k + 1]
+    sa = np.flatnonzero(a[1:]) + 1
+    sb = np.flatnonzero(b[1:]) + 1
+    if len(sb) < len(sa):
+        a, b, sa = b, a, sb[::-1]
+    for i in sa.tolist():
+        c[i::i] += a[i] * b[1 : n // i + 1]
     return c
 
 
@@ -151,9 +153,8 @@ def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
     if k < 1:
         raise ArgumentError(f"need k >= 1, got k={k}")
     mu = mobius_range(nmax).astype(np.float64)
-    ns = np.arange(nmax + 1, dtype=np.float64)
     logs = np.zeros(nmax + 1)
-    logs[1:] = np.log(ns[1:])
+    logs[1:] = np.log(np.arange(1, nmax + 1, dtype=np.float64))
 
     # tau_j arrays by repeated convolution with the all-ones sequence
     ones = np.ones(nmax + 1)

@@ -302,12 +302,28 @@ def count_pi_I(X: int, q: int, a: int, win: FracWindow, table=None) -> int:
     return int(np.count_nonzero(win.mask(ps)))
 
 
+def _residue_histograms(ps: np.ndarray, qs) -> dict:
+    """{q: bincount(ps % q, minlength=q)}, built in descending q: folded from 2q
+    when 2q is in qs, else over int32 residues if every value is below 2^31."""
+    if len(ps) and ps.max() < 2 ** 31:
+        ps = ps.astype(np.int32)
+    qs = sorted(qs, reverse=True)
+    buf = np.empty(sum(qs), dtype=np.intp)  # one block, so no heap fragments
+    hist: dict = {}
+    for q, end in zip(qs, np.cumsum(qs).tolist()):
+        c2q = hist.get(2 * q)
+        hist[q] = buf[end - q : end]
+        hist[q][:] = (np.bincount(ps % q, minlength=q) if c2q is None
+                      else c2q[:q] + c2q[q:])
+    return hist
+
+
 def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
                    moduli: str = "all") -> DiscrepancyReport:
     """sum over moduli q <= Q of max_{(a,q)=1} |pi_I(X;q,a) - pi_I(X)/phi(q)|.
 
-    One sieve pass; per-q residue histograms by bincount.  moduli = "all"
-    uses every q in [2, Q], "prime" restricts to prime q.
+    One sieve pass; histograms mod q fold from those mod 2q when 2q is a
+    modulus, else bincount.  moduli "all" is every q in [2, Q], "prime" primes.
     """
     if not 2 < Q < X:
         raise ArgumentError(f"need 2 < Q < X, got Q={Q} X={X}")
@@ -319,8 +335,7 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
     qs = range(2, Q + 1) if moduli == "all" else [int(p) for p in primes_upto(Q)]
     rows = []
     total = 0.0
-    for q in qs:
-        counts = np.bincount(pe % q, minlength=q)
+    for q, counts in sorted(_residue_histograms(pe, qs).items()):
         coprime = np.gcd(np.arange(q), q) == 1
         dev = np.abs(counts - pi_I / np.count_nonzero(coprime))
         # argmax takes the smallest a attaining the maximum

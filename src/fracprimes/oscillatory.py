@@ -788,8 +788,8 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     Poisson summation in n after the substitution T = a h q u m n / (s X^{1-a}).
     """
     _need_positive(s=s, q=q, u=u, m=m)
-    if h == 0:
-        raise ArgumentError("the second-kind phase needs h != 0")
+    if not h > 0:  # the critical point (a h q u m n / s)^{1/(1-a)} is real
+        raise ArgumentError(f"the second-kind critical point needs h > 0, got {h}")
     chiv, gauss = _character_rows(q, chi_index)
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta

@@ -132,6 +132,19 @@ def hb_total_brute(n: int, k: int, V: int) -> float:
     return sum(s * b * w for (s, b, _t, w) in hb_terms_brute(n, k, V))
 
 
+def dirichlet_convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[n] = sum_{d | n} a[d] * b[n/d]: one slice update per nonzero a[i] in
+    ascending i, so each c[n] sums its terms in ascending order of d."""
+    n = len(a) - 1
+    c = np.zeros(n + 1, dtype=np.float64)
+    for i in range(1, n + 1):
+        ai = a[i]
+        if ai != 0.0:
+            k = n // i
+            c[i::i] += ai * b[1 : k + 1]
+    return c
+
+
 # ---------------------------------------------------------------------------
 # characters / Gauss / Kloosterman, direct definitions
 
@@ -304,6 +317,23 @@ def bv_total_brute(X, Q, alpha, c, d, primes, moduli="all") -> float:
             best = max(best, abs(counts[a % q] - pi_i / phi_direct(q)))
         total += best
     return total
+
+
+def bv_rows_bincount_loop(pe: np.ndarray, qs) -> tuple[tuple, float]:
+    """(rows, total) of the BV discrepancy, one bincount(pe % q) per q in
+    order; each row names the smallest coprime a at the maximum."""
+    pi_I = len(pe)
+    rows = []
+    total = 0.0
+    for q in qs:
+        counts = np.bincount(pe % q, minlength=q)
+        coprime = np.gcd(np.arange(q), q) == 1
+        dev = np.abs(counts - pi_I / np.count_nonzero(coprime))
+        worst_a = int(np.argmax(np.where(coprime, dev, -1.0)))
+        worst = float(dev[worst_a])
+        rows.append((q, worst_a, worst))
+        total += worst
+    return tuple(rows), total
 
 
 def phase_sum_brute(coeff, shift, exponent, lo, hi) -> complex:

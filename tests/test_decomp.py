@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import von_mangoldt
-from fracprimes.decomp import (DyadicTuple, TypeWitness, classify_dyadic,
+from fracprimes.arith import mobius_range, von_mangoldt
+from fracprimes.decomp import (DyadicTuple, TypeWitness, _dirichlet_convolve,
+                               classify_dyadic,
                                classify_exponents, hb_residual_scan,
                                hb_signed_total_range, heath_brown_terms,
                                verify_dyadic_witness, verify_witness)
@@ -90,6 +91,67 @@ def test_hb_argument_validation():
         heath_brown_terms(10, k=7, V=2)
     with pytest.raises(ArgumentError):
         heath_brown_terms(10 ** 3, k=2, V=2)  # n > V^k validity range
+
+
+def _same_bits_as_loop(a, b):
+    c = _dirichlet_convolve(a, b)
+    assert c.tobytes() == oracles.dirichlet_convolve_loop(a, b).tobytes()
+
+
+def _random_sparse(rng, n, density):
+    # magnitudes over 16 decades, so any change of summation order shows
+    x = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-8, 8, n + 1)
+    x[rng.random(n + 1) >= density] = 0.0
+    return x
+
+
+def test_dirichlet_convolve_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(1914)
+    for trial in range(80):
+        n = int(rng.integers(0, 600))
+        a = _random_sparse(rng, n, rng.random())
+        b = _random_sparse(rng, n, rng.random())
+        if trial % 4 == 0 and n >= 1:
+            a[1] = 0.0
+        _same_bits_as_loop(a, b)
+        _same_bits_as_loop(b, a)
+    for n in (0, 1, 500):
+        zero = np.zeros(n + 1)
+        dense = _random_sparse(rng, n, 1.0)
+        _same_bits_as_loop(zero, zero)
+        _same_bits_as_loop(zero, dense)
+        _same_bits_as_loop(dense, zero)
+    # one orientation each way, a sparse side of 5 against a dense one
+    dense = _random_sparse(rng, 2000, 1.0)
+    sparse = np.zeros(2001)
+    sparse[[1, 2, 3, 7, 1999]] = [-1.0, 3e-9, -4e7, 0.5, -2.0]
+    _same_bits_as_loop(dense, sparse)
+    _same_bits_as_loop(sparse, dense)
+
+
+def test_dirichlet_convolve_matches_loop_on_hb_scan_arguments():
+    # the pairs hb_signed_total_range(4000) convolves: L_j against the
+    # mu-block powers M_V^{*j} for its V = 3..7, and the powers' own chain
+    nmax, k = 4000, 5
+    mu = mobius_range(nmax).astype(np.float64)
+    logs = np.zeros(nmax + 1)
+    logs[1:] = np.log(np.arange(1, nmax + 1, dtype=np.float64))
+    ones = np.ones(nmax + 1)
+    ones[0] = 0.0
+    tau = {1: ones}
+    for j in range(2, k + 1):
+        tau[j] = oracles.dirichlet_convolve_loop(tau[j - 1], ones)
+    for v in range(3, 8):
+        mu_v = mu.copy()
+        mu_v[v + 1 :] = 0.0
+        conv = mu_v
+        for j in range(1, k + 1):
+            if j > 1:
+                _same_bits_as_loop(conv, mu_v)
+                conv = oracles.dirichlet_convolve_loop(conv, mu_v)
+            lj = logs * tau[j] / j
+            assert np.count_nonzero(conv) < np.count_nonzero(lj)
+            _same_bits_as_loop(lj, conv)
 
 
 # ---------------------------------------------------------------------------

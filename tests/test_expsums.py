@@ -14,7 +14,8 @@ from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, BilinearResult,
                                 ExpSumSpec, FracWindow, MonomialPhase,
                                 bilinear_sum, block_sum,
                                 bv_discrepancy, count_pi_I, exp_sum_primes,
-                                _reduce_monomial, level_of_distribution,
+                                _reduce_monomial, _residue_histograms,
+                                level_of_distribution,
                                 phase_sum,
                                 reduced_phase, reduced_phase_array,
                                 tau_moment_constant, vdc_bound,
@@ -361,6 +362,38 @@ def test_bv_rows_match_gcd_loop_with_ties():
         rows.append((q, worst_a, worst))
     assert ties > 0
     assert rep.per_q == tuple(rows)
+
+
+@pytest.mark.parametrize("moduli", ["all", "prime"])
+@pytest.mark.parametrize("X, Q, c, d", [(300_000, 499, 0.0, 0.5),
+                                        (300_000, 500, 0.0, 0.5),
+                                        (1000, 60, 0.5, 0.5000001)],
+                         ids=["Q499", "Q500", "empty"])
+def test_bv_rows_match_bincount_loop(X, Q, c, d, moduli):
+    win = FracWindow(alpha=0.1, c=c, d=d)
+    rep = bv_discrepancy(X, Q, win, moduli=moduli)
+    ps = primes_upto(X)
+    pe = ps[win.mask(ps)]
+    assert (len(pe) == 0) == (X == 1000)
+    qs = range(2, Q + 1) if moduli == "all" else primes_upto(Q).tolist()
+    rows, total = oracles.bv_rows_bincount_loop(pe, qs)
+    assert rep.per_q == rows
+    assert rep.total == total
+    assert rep.pi_I == len(pe)
+
+
+@pytest.mark.parametrize("base", [2 ** 31 - 10 ** 6, 2 ** 31, 2 ** 40])
+def test_residue_histograms_match_bincount(base):
+    # values from 2^31 on must stay on the int64 path
+    rng = np.random.default_rng(base % 997)
+    x = np.sort(rng.integers(base, base + 10 ** 6 - 1, 5000, dtype=np.int64))
+    qs = range(2, 121)
+    hist = _residue_histograms(x, qs)
+    assert sorted(hist) == list(qs)
+    for q in qs:
+        expected = np.bincount(x % q, minlength=q)
+        assert hist[q].dtype == expected.dtype
+        assert np.array_equal(hist[q], expected)
 
 
 def test_bv_monotone_in_Q():

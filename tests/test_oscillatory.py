@@ -481,6 +481,14 @@ def test_poisson_second_empty_window():
     assert abs(res.lhs) <= res.meta["amp_l1"]
 
 
+@pytest.mark.parametrize("h", [-50.0, 0.0])
+def test_poisson_second_needs_positive_h(h):
+    # the critical point (a h q u m n / s)^{1/(1-a)} needs h > 0
+    with pytest.raises(ArgumentError, match="needs h > 0"):
+        poisson_verify_second(q=3, u=1, m=2, s=2, chi_index=0, h=h,
+                              alpha=0.05, X=10 ** 4, window=BUMP, tol=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # the shared s-grid behind both Poisson checks
 
