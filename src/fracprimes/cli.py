@@ -392,6 +392,8 @@ def cmd_bv(args, cfg: RunConfig):
 
 
 def cmd_decompose_check(args, cfg: RunConfig):
+    if args.show < 0:
+        raise ArgumentError(f"need --show >= 0, got {args.show}")
     if args.n is not None:
         terms = heath_brown_terms(args.n, k=args.k)
         lines = [f"n={args.n} k={args.k} V={terms.V} "

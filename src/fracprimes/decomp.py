@@ -5,6 +5,7 @@
 mu(d_{j+1}) ... mu(d_{2j}), valid whenever n <= V^k.  `hb_residual_scan`
 checks the identity over a whole initial segment using Dirichlet-convolution
 arrays instead of per-n tuple enumeration, looping over the sparse mu-blocks.
+`_tau_chain` builds tau_1..tau_k for it and for `tau_moment_constant`.
 
 `classify_exponents` and `classify_dyadic` decide which of the three range
 shapes (a single large factor, a balanced bilinear split, or three medium
@@ -13,7 +14,7 @@ Both run one search, `_shapes`: the dyadic thresholds 3/5 + eps1,
 2/5 - eps1 and 1/5 + 2 eps1 of Heath-Brown's identity are the exponent
 thresholds 1/2 + sigma, 1/2 - sigma and 2 sigma at sigma = 1/10 + eps1.
 `verify_witness` and `verify_dyadic_witness` re-check witnesses against the
-defining inequalities, independently of the search.
+same inequalities through `_verify`, independently of the search.
 """
 
 from __future__ import annotations
@@ -140,6 +141,27 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def _tau_chain(k: int, nmax: int) -> list:
+    """[tau_1, ..., tau_k] on [0, nmax], index 0 unused, by repeated
+    convolution with the all-ones sequence."""
+    ones = np.ones(nmax + 1)
+    ones[0] = 0.0
+    chain = [ones]
+    for _ in range(k - 1):
+        chain.append(_dirichlet_convolve(chain[-1], ones))
+    return chain
+
+
+def tau_moment_constant(k: int, xmax: int) -> float:
+    """Smallest c with sum_{n<=x} tau_k(n) <= c x (log x)^{k-1} on [100, xmax]."""
+    if k < 2 or xmax < 101:
+        raise ArgumentError("need k >= 2 and xmax > 100")
+    csum = np.cumsum(_tau_chain(k, xmax)[-1])
+    xs = np.arange(100, xmax + 1, dtype=np.float64)
+    ratios = csum[100:] / (xs * np.log(xs) ** (k - 1))
+    return float(np.max(ratios))
+
+
 def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
     """total[n] for 2 <= n <= nmax with the per-n choice V = ceil(n^{1/k}) + 1.
 
@@ -155,13 +177,7 @@ def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
     mu = mobius_range(nmax).astype(np.float64)
     logs = np.zeros(nmax + 1)
     logs[1:] = np.log(np.arange(1, nmax + 1, dtype=np.float64))
-
-    # tau_j arrays by repeated convolution with the all-ones sequence
-    ones = np.ones(nmax + 1)
-    ones[0] = 0.0
-    tau_arr = {1: ones.copy()}
-    for j in range(2, k + 1):
-        tau_arr[j] = _dirichlet_convolve(tau_arr[j - 1], ones)
+    taus = _tau_chain(k, nmax)
 
     out = np.zeros(nmax + 1)
     all_n = np.arange(2, nmax + 1)
@@ -172,9 +188,9 @@ def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
         mu_v[int(v) + 1 :] = 0.0
         total = np.zeros(nmax + 1)
         conv = None
-        for j in range(1, k + 1):
+        for j, tau_j in enumerate(taus, 1):
             conv = mu_v if conv is None else _dirichlet_convolve(conv, mu_v)
-            lj = logs * tau_arr[j] / j
+            lj = logs * tau_j / j
             sj = _dirichlet_convolve(lj, conv)
             total += (1 if j % 2 == 1 else -1) * math.comb(k, j) * sj
         out[sel] = total[sel]
@@ -268,30 +284,31 @@ def classify_exponents(t, sigma: float) -> list[TypeWitness]:
     return _shapes(t, 1.0, 0.5 + sigma, 0.5 - sigma, 2 * sigma, SLACK, len(t))
 
 
+def _verify(e, total, hi, lo, lo3, s, first, w: TypeWitness) -> bool:
+    """Re-check witness w against the inequalities `_shapes` searches, with
+    the same thresholds, without running the search."""
+    if w.kind == "I":
+        (i,) = w.witness
+        return 1 <= i <= first and e[i - 1] >= hi - s
+    if w.kind == "II":
+        S, T = w.witness
+        if sorted(S + T) != list(range(1, len(e) + 1)):
+            return False
+        sS = sum(e[i - 1] for i in S)
+        return lo - s < sS < hi + s and sS <= total - sS + s
+    idx = w.witness
+    if len(idx) != 3 or len(set(idx)) != 3 or \
+       not all(1 <= i <= first for i in idx):
+        return False
+    v1, v2, v3 = sorted(e[i - 1] for i in idx)
+    return v1 >= lo3 - s and v3 <= lo + s and v1 + v2 >= hi - s
+
+
 def verify_witness(t, sigma: float, w: TypeWitness) -> bool:
     """Independent re-check of a witness against the defining inequalities."""
     t = [float(v) for v in t]
-    if w.kind == "I":
-        (i,) = w.witness
-        return 1 <= i <= len(t) and t[i - 1] >= 0.5 + sigma - SLACK
-    if w.kind == "II":
-        S, T = w.witness
-        if sorted(S + T) != list(range(1, len(t) + 1)) or set(S) & set(T):
-            return False
-        sS = sum(t[i - 1] for i in S)
-        sT = sum(t[i - 1] for i in T)
-        return (sS > 0.5 - sigma - SLACK and sS <= sT + SLACK
-                and sT < 0.5 + sigma + SLACK)
-    if w.kind == "III":
-        idx = w.witness
-        if len(idx) != 3 or len(set(idx)) != 3 or \
-           not all(1 <= i <= len(t) for i in idx):
-            return False
-        vals = sorted(t[i - 1] for i in idx)
-        return (vals[0] >= 2 * sigma - SLACK
-                and vals[2] <= 0.5 - sigma + SLACK
-                and vals[0] + vals[1] >= 0.5 + sigma - SLACK)
-    return False
+    return _verify(t, sum(t), 0.5 + sigma, 0.5 - sigma, 2 * sigma, SLACK,
+                   len(t), w)
 
 
 @dataclass(frozen=True)
@@ -344,24 +361,5 @@ def classify_dyadic(dt: DyadicTuple) -> list[TypeWitness]:
 def verify_dyadic_witness(dt: DyadicTuple, w: TypeWitness) -> bool:
     """Inequality-only re-check of a dyadic classification witness."""
     e = dt.log_exponents()
-    eps1 = dt.eps1
-    s = SLACK * (1.0 + abs(math.log(dt.X1)))
-    if w.kind == "I":
-        (i,) = w.witness
-        return 1 <= i <= 5 and e[i - 1] >= 0.6 + eps1 - s
-    if w.kind == "II":
-        S, T = w.witness
-        if sorted(S + T) != list(range(1, 11)) or set(S) & set(T):
-            return False
-        sS = sum(e[i - 1] for i in S)
-        return 0.4 - eps1 - s < sS < 0.6 + eps1 + s
-    if w.kind == "III":
-        idx = w.witness
-        if len(idx) != 3 or len(set(idx)) != 3 or \
-           not all(1 <= i <= 5 for i in idx):
-            return False
-        vals = sorted(e[i - 1] for i in idx)
-        return (vals[0] >= 0.2 + 2 * eps1 - s
-                and vals[2] <= 0.4 - eps1 + s
-                and vals[0] + vals[1] >= 0.6 + eps1 - s)
-    return False
+    return _verify(e, sum(e), 0.6 + dt.eps1, 0.4 - dt.eps1, 0.2 + 2 * dt.eps1,
+                   SLACK * (1.0 + abs(math.log(dt.X1))), 5, w)

@@ -36,5 +36,5 @@ class AccuracyError(RuntimeError):
 
 
 class StationaryPointError(ArgumentError):
-    """No usable stationary point: none in the window, or several (the
-    integral must then be decomposed before an expansion applies)."""
+    """No usable stationary point: g' has no zero, or it lies outside the
+    window."""

@@ -465,7 +465,7 @@ def bilinear_sum(m_range, n_range, gamma, beta, q: int, a: int, h, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# headline exponent and divisor-moment helper
+# headline exponent
 
 def level_of_distribution(alpha: float) -> float:
     """2/5 - 3 alpha / 5; the asymptotic modulus-range exponent."""
@@ -473,19 +473,3 @@ def level_of_distribution(alpha: float) -> float:
         warnings.warn(f"alpha={alpha} outside the theorem scope (0, 1/9); "
                       "formula evaluated anyway", stacklevel=2)
     return 0.4 - 0.6 * alpha
-
-
-def tau_moment_constant(k: int, xmax: int) -> float:
-    """Smallest c with sum_{n<=x} tau_k(n) <= c x (log x)^{k-1} on [100, xmax]."""
-    if k < 2 or xmax < 101:
-        raise ArgumentError("need k >= 2 and xmax > 100")
-    ones = np.ones(xmax + 1)
-    ones[0] = 0.0
-    arr = ones.copy()
-    from .decomp import _dirichlet_convolve
-    for _ in range(k - 1):
-        arr = _dirichlet_convolve(arr, ones)
-    csum = np.cumsum(arr)
-    xs = np.arange(100, xmax + 1, dtype=np.float64)
-    ratios = csum[100:] / (xs * np.log(xs) ** (k - 1))
-    return float(np.max(ratios))

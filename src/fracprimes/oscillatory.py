@@ -10,9 +10,8 @@ Four layers, bottom up:
   J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) for phases whose
   derivative stays away from zero on the window.
 * `stationary_point` / `stationary_values` / `stationary_expand` — the
-  stationary point in closed form where the phase carries one (both Poisson
-  families) or by a scan of the window, plus the truncated asymptotic
-  expansion  e(g(t0)) / |g''|^{1/2} * sum_n p_n  with
+  stationary point from the closed form every phase carries, plus the
+  truncated asymptotic expansion  e(g(t0)) / |g''|^{1/2} * sum_n p_n  with
   p_n = e^{-i pi/4} / n! * (4 pi i)^{-n} |g''|^{-n} G^{(2n)}(t0)
   (the e(x) = e^{2 pi i x} convention; G = w * e(H), H the phase minus its
   second-order jet at t0).
@@ -20,8 +19,9 @@ Four layers, bottom up:
   identities obtained by Poisson summation on a character-twisted smooth
   sum, each side computed independently.
 
-A `PhaseModel` is g with exact derivatives.  Its `params` only records the
-constructor's arguments: to change a parameter, call the constructor again.
+A `PhaseModel` is g with exact derivatives and its stationary point in
+closed form.  Its `params` only records the constructor's arguments: to
+change a parameter, call the constructor again.
 """
 
 from __future__ import annotations
@@ -96,14 +96,14 @@ class PhaseModel:
     """Phase g with exact derivatives g^(k), k = 1..4.
 
     params only records the constructor's arguments; evaluation never reads
-    it.  closed, if given, returns (t0, g(t0), g''(t0)) at the zero of g' or
-    raises StationaryPointError; without it a window scan finds t0.
+    it.  closed() returns (t0, g(t0), g''(t0)) at the zero of g', or raises
+    StationaryPointError when g' has no zero.
     """
 
     params: dict
     _g: object
     _dg: object            # callable (t, order)
-    closed: object = None
+    closed: object         # callable () -> (t0, g(t0), g''(t0))
 
     def g(self, t):
         return self._g(np.asarray(t, dtype=float))
@@ -181,11 +181,6 @@ def make_second_phase(h, X, alpha, q, u, m, s, sigma) -> PhaseModel:
                         (1 - a) * h * X ** a, 1, c.gamma, lin, 1, closed)
 
 
-def make_generic_phase(g, dg, **params) -> PhaseModel:
-    """A phase from g and its exact derivatives dg(t, order)."""
-    return PhaseModel(params, g, dg)
-
-
 def gaussian_phase(Y: float, t0: float) -> PhaseModel:
     """g(t) = -Y (t - t0)^2 / 2 with exact derivatives."""
     if not (math.isfinite(Y) and math.isfinite(t0)):
@@ -201,7 +196,7 @@ def gaussian_phase(Y: float, t0: float) -> PhaseModel:
             return -Y * np.ones_like(t)
         return np.zeros_like(t)
 
-    return PhaseModel({"Y": Y, "t0": t0}, g, dg)
+    return PhaseModel({"Y": Y, "t0": t0}, g, dg, lambda: (t0, g(t0), -Y))
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +221,12 @@ def _gl_nodes(edges: np.ndarray):
 
 
 def _stationary_candidates(phase: PhaseModel, a: float, b: float) -> list[float]:
-    """Zeros of g' in (a, b), by the phase's closed form or else a scan."""
-    if phase.closed is not None:
-        try:
-            t0 = stationary_point(phase)
-        except StationaryPointError:
-            return []
-        return [t0] if a < t0 < b else []
-    grid = np.linspace(a, b, 257)
-    d = np.asarray(phase.dg(grid, 1), dtype=float)
-    sign = np.sign(d)
-    # exact zeros on the grid, then one bisection per sign change
-    out = [float(grid[i]) for i in np.flatnonzero(d[1:-1] == 0.0) + 1]
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        lo_t, hi_t = grid[i], grid[i + 1]
-        for _ in range(60):
-            mid_t = 0.5 * (lo_t + hi_t)
-            if np.sign(phase.dg(mid_t, 1)) == sign[i]:
-                lo_t = mid_t
-            else:
-                hi_t = mid_t
-        out.append(0.5 * (lo_t + hi_t))
-    merged = []
-    for t in sorted(out):
-        if not merged or t - merged[-1] > 1e-12 * max(abs(b - a), 1.0):
-            merged.append(t)
-    return merged
+    """The zero of g' if it lies in (a, b)."""
+    try:
+        t0 = stationary_point(phase)
+    except StationaryPointError:
+        return []
+    return [t0] if a < t0 < b else []
 
 
 def _subdivide(edges: np.ndarray, need: np.ndarray) -> np.ndarray:
@@ -408,19 +383,8 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
 # stationary phase
 
 def stationary_point(g: PhaseModel, window=None) -> float:
-    """The zero of g'; a phase without a closed form needs the window."""
-    if g.closed is not None:
-        t0 = g.closed()[0]
-    else:
-        if window is None:
-            raise ArgumentError("generic phases need an explicit window")
-        pts = _stationary_candidates(g, window[0], window[1])
-        if not pts:
-            raise StationaryPointError("no stationary point in the window")
-        if len(pts) > 1:
-            raise StationaryPointError(
-                f"{len(pts)} stationary points in window; decompose the range")
-        t0 = pts[0]
+    """The zero of g' by the phase's closed form; inside window if given."""
+    t0 = g.closed()[0]
     if window is not None and not window[0] <= t0 <= window[1]:
         raise StationaryPointError(
             f"stationary point {t0} outside window {window}")
@@ -434,10 +398,8 @@ def stationary_point(g: PhaseModel, window=None) -> float:
 
 def stationary_values(g: PhaseModel, window=None) -> tuple[float, float]:
     """(g(t0), g''(t0)) at the zero of g'."""
-    t0 = stationary_point(g, window)
-    if g.closed is not None:
-        return g.closed()[1:]
-    return float(np.real(g.g(t0))), float(np.real(g.dg(t0, 2)))
+    stationary_point(g, window)
+    return g.closed()[1:]
 
 
 def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
@@ -869,10 +831,19 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
                                       N, K)
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
+    k, gam = q * u * m / s, cst.gamma
+
+    def closed():
+        if sigma <= 0:
+            raise StationaryPointError("no stationary point: need sigma > 0")
+        n0 = (sigma / (q * phi_scale * gam * k ** gam)) ** (1 / (gam - 1))
+        return (n0, phi_scale * (k * n0) ** gam - sigma * n0 / q,
+                phi_scale * gam * (gam - 1) * k ** gam * n0 ** (gam - 2))
+
     n_lo, n_hi = N / _THETA, N * _THETA
     direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
-                      _power_phase({}, phi_scale, q * u * m / s, cst.gamma,
-                                   sigma, q, None),   # Phi(n) - sigma n / q
+                      _power_phase({}, phi_scale, k, gam, sigma, q,
+                                   closed),   # Phi(n) - sigma n / q
                       (n_lo, n_hi), tol=1e-9)
 
     tau_lo = aq * n_lo / (s * X ** (1 - alpha))

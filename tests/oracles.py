@@ -357,6 +357,30 @@ def quad_oracle(w_fn, g_fn, lo, hi, dps=30, maxdegree=12) -> complex:
         return complex(val)
 
 
+def stationary_scan(dg, a: float, b: float) -> list[float]:
+    """Zeros of g' in (a, b) without a closed form: a 257-point sign scan of
+    dg(t, 1), exact grid zeros plus a 60-step bisection per sign change,
+    with points closer than 1e-12 max(b - a, 1) merged."""
+    grid = np.linspace(a, b, 257)
+    d = np.asarray(dg(grid, 1), dtype=float)
+    sign = np.sign(d)
+    out = [float(grid[i]) for i in np.flatnonzero(d[1:-1] == 0.0) + 1]
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        lo_t, hi_t = grid[i], grid[i + 1]
+        for _ in range(60):
+            mid_t = 0.5 * (lo_t + hi_t)
+            if np.sign(dg(mid_t, 1)) == sign[i]:
+                lo_t = mid_t
+            else:
+                hi_t = mid_t
+        out.append(0.5 * (lo_t + hi_t))
+    merged = []
+    for t in sorted(out):
+        if not merged or t - merged[-1] > 1e-12 * max(abs(b - a), 1.0):
+            merged.append(t)
+    return merged
+
+
 def reduced_phase_oracle(h, n, alpha, shift=0.0) -> float:
     with mpmath.workdps(60):
         return float(mpmath.frac(mpmath.mpf(h) * mpmath.power(

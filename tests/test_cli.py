@@ -476,10 +476,11 @@ def test_oscint_reversed_J_is_an_argument_error(capsys, method):
     ["oscint", "--phase", "first", "--q", "0", "--method", "bound"],
     ["oscint", "--phase", "first", "--u", "-1", "--method", "quad"],
     ["decompose-check", "--k", "0", "--nmax", "50"],
-    ["decompose-check", "--k", "-1", "--nmax", "50"]])
+    ["decompose-check", "--k", "-1", "--nmax", "50"],
+    ["decompose-check", "--n", "12", "--show", "-2"]])
 def test_degenerate_integers_are_argument_errors(capsys, argv):
     # q, u, m, n below 1, a second-kind h of 0 and a Heath-Brown k below 1
-    # have no phase or identity to evaluate
+    # have no phase or identity to evaluate; no term count is below 0
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert "error: " in err

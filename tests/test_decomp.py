@@ -310,3 +310,16 @@ def test_verify_dyadic_witness_needs_exactly_three_blocks():
                      X1=X1, Y1=X1 ** 1.1, eps1=0.01)
     assert not verify_dyadic_witness(dt, TypeWitness("III", (1, 2, 3)))
     assert not verify_dyadic_witness(dt, TypeWitness("III", (1, 1, 2, 3)))
+
+
+def test_verify_dyadic_witness_rejects_the_heavier_side():
+    # S = {1} lies in the Type II window but outweighs T: 0.55 > 0.45
+    dt = DyadicTuple(D=(X1 ** 0.55, X1 ** 0.45) + (1.0,) * 8,
+                     X1=X1, Y1=2 * X1, eps1=0.01)
+    heavy = TypeWitness("II", ((1,), tuple(range(2, 11))))
+    light = TypeWitness("II", ((2,), (1,) + tuple(range(3, 11))))
+    assert not verify_dyadic_witness(dt, heavy)
+    assert verify_dyadic_witness(dt, light)
+    assert [w for w in classify_dyadic(dt) if w.kind == "II"] == [light]
+    assert not verify_witness((0.55, 0.45), 0.11,
+                              TypeWitness("II", ((1,), (2,))))

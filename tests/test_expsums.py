@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import euler_phi, primes_upto
+from fracprimes.decomp import tau_moment_constant
 from fracprimes.errors import ArgumentError, ResourceLimitError
 from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, BilinearResult,
                                 ExpSumSpec, FracWindow, MonomialPhase,
@@ -18,7 +19,7 @@ from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, BilinearResult,
                                 level_of_distribution,
                                 phase_sum,
                                 reduced_phase, reduced_phase_array,
-                                tau_moment_constant, vdc_bound,
+                                vdc_bound,
                                 weighted_sum_W)
 from fracprimes.smoothing import BumpWindow, eval_bump
 from fracprimes.expsums import von_mangoldt_range

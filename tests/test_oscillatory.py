@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import fracprimes.oscillatory as osc
 from fracprimes.errors import (AccuracyError, ArgumentError,
                                StationaryPointError)
-from fracprimes.oscillatory import (alpha_constants, gaussian_phase,
-                                    make_first_phase, make_generic_phase,
+from fracprimes.oscillatory import (PhaseModel, WindowModel,
+                                    alpha_constants, gaussian_phase,
+                                    make_first_phase,
                                     make_second_phase, nonstationary_bound,
                                     phase_jet_derivatives,
                                     poisson_verify_first,
@@ -34,6 +35,11 @@ def _exact(*derivs):
     def dg(t, order):
         return derivs[order - 1](t) if order <= len(derivs) else np.zeros_like(t)
     return dg
+
+
+def _no_zero():
+    """The closed form of a phase whose g' has no isolated zero."""
+    raise StationaryPointError("g' has no isolated zero")
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +97,22 @@ def test_stationary_point_inversion_to_one():
 
 
 def test_stationary_point_generic_quadratic():
-    g = make_generic_phase(lambda t: -(t - 2.0) ** 2,
-                           _exact(lambda t: -2 * (t - 2.0),
-                                  lambda t: np.full_like(t, -2.0)))
+    g = PhaseModel({}, lambda t: -(t - 2.0) ** 2,
+                   _exact(lambda t: -2 * (t - 2.0),
+                          lambda t: np.full_like(t, -2.0)),
+                   lambda: (2.0, 0.0, -2.0))
     assert abs(stationary_point(g, window=(0.0, 4.0)) - 2.0) < 1e-8
+
+
+def test_stationary_point_at_zero():
+    # the residual check scales with |t0|; the closed form has g'(0) = 0
+    g = gaussian_phase(200.0, 0.0)
+    assert stationary_point(g, (-1.0, 1.3)) == 0.0
+    shifted = WindowModel(fn=lambda t: eval_bump(BUMP, t + 1.5),
+                          lo=-0.7, hi=0.7)
+    got = stationary_expand(shifted, g, n_terms=2)
+    want = stationary_expand(W, gaussian_phase(200.0, 1.5), n_terms=2)
+    assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
 
 
 def test_stationary_point_errors():
@@ -130,22 +148,26 @@ def test_stationary_values_first_closed_forms():
     assert abs(abs(curv) - abs(fd)) < 1e-5 * abs(fd)
 
 
-@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("which", ["first", "second", "gaussian"])
 def test_closed_forms_match_the_window_scan(which):
     # the closed forms each phase carries against a scan of the same g, g'
     rng = np.random.default_rng(2024)
-    for _ in range(40):
+    for i in range(40):
         alpha = float(rng.uniform(0.05, 0.45))
         X = float(10 ** rng.uniform(2, 6))
         h = float(rng.uniform(0.5, 1000.0))
         q, u, m, n, s, sigma = (int(v) for v in rng.integers(1, 13, 6))
-        ph = (make_first_phase(h, X, alpha, q, u, m, n, s) if which == "first"
-              else make_second_phase(h, X, alpha, q, u, m, s, sigma))
+        if which == "first":
+            ph = make_first_phase(h, X, alpha, q, u, m, n, s)
+        elif which == "second":
+            ph = make_second_phase(h, X, alpha, q, u, m, s, sigma)
+        else:
+            # t0 in (0.2, 1.8), never a point of the scan grid, and 1.3
+            ph = gaussian_phase(10.0 + h, 1.3 if i == 0 else 4.0 * alpha)
         t0 = stationary_point(ph)
-        window = (0.5 * t0, 2.0 * t0)
-        scan = make_generic_phase(ph.g, ph.dg)
-        assert stationary_point(scan, window) == pytest.approx(t0, rel=1e-10)
-        assert stationary_values(scan, window) == pytest.approx(
+        (t_scan,) = oracles.stationary_scan(ph.dg, 0.5 * t0, 2.0 * t0)
+        assert t_scan == pytest.approx(t0, rel=1e-10)
+        assert (float(ph.g(t_scan)), float(ph.dg(t_scan, 2))) == pytest.approx(
             stationary_values(ph), rel=1e-10)
 
 
@@ -163,8 +185,8 @@ def test_stationary_values_second_sign():
 # quadrature
 
 def test_quad_no_oscillation_is_window_mass():
-    g0 = make_generic_phase(lambda t: np.zeros_like(np.asarray(t, float)),
-                            _exact())
+    g0 = PhaseModel({}, lambda t: np.zeros_like(np.asarray(t, float)),
+                    _exact(), _no_zero)
     res = quad_osc(W, g0, tol=1e-10)
     ref = oracles.quad_oracle(lambda t: eval_bump(BUMP, t), lambda t: 0.0,
                               0.8, 2.2)
@@ -178,8 +200,8 @@ def test_quad_riemann_lebesgue_decay():
     # the slope; keep slopes small enough to stay above the float64 floor
     out = []
     for slope in (0.5, 4.0):
-        g = make_generic_phase(lambda t, R=slope: R * np.asarray(t, float),
-                               _exact(lambda t, R=slope: np.full_like(t, R)))
+        g = PhaseModel({}, lambda t, R=slope: R * np.asarray(t, float),
+                       _exact(lambda t, R=slope: np.full_like(t, R)), _no_zero)
         out.append(abs(quad_osc(W, g, tol=1e-10).value))
     assert out[1] < out[0] / 2
 
@@ -207,11 +229,10 @@ def test_quad_validation_and_accuracy_error(monkeypatch):
         quad_osc(W, g, tol=1e-13)
     # an amplitude cusp stalls panel refinement when rounds are capped; the
     # error must carry the best value and its error estimate
-    from fracprimes.oscillatory import WindowModel
     cusp = WindowModel(fn=lambda t: np.sqrt(np.abs(np.asarray(t, float) - 1.5)),
                        lo=0.8, hi=2.2)
-    lin = make_generic_phase(lambda t: 3.0 * np.asarray(t, float),
-                             _exact(lambda t: np.full_like(t, 3.0)))
+    lin = PhaseModel({}, lambda t: 3.0 * np.asarray(t, float),
+                     _exact(lambda t: np.full_like(t, 3.0)), _no_zero)
     monkeypatch.setattr(osc, "_MAX_ROUNDS", 2)
     with pytest.raises(AccuracyError) as exc:
         quad_osc(cusp, lin, tol=1e-12)
@@ -317,9 +338,10 @@ def test_expand_H_vanishes_to_second_order():
 
 
 def test_expand_positive_curvature_rejected():
-    g = make_generic_phase(lambda t: +100.0 * (np.asarray(t, float) - 1.5) ** 2,
-                           _exact(lambda t: 200.0 * (t - 1.5),
-                                  lambda t: np.full_like(t, 200.0)))
+    g = PhaseModel({}, lambda t: +100.0 * (np.asarray(t, float) - 1.5) ** 2,
+                   _exact(lambda t: 200.0 * (t - 1.5),
+                          lambda t: np.full_like(t, 200.0)),
+                   lambda: (1.5, 0.0, 200.0))
     with pytest.raises(ArgumentError, match="conjugate"):
         stationary_expand(W, g, n_terms=1)
 
@@ -468,6 +490,21 @@ def test_poisson_second_jacobian_change_of_variables():
         h=case["h"], alpha=case["alpha"], X=case["X"], window=case["window"],
         N=N, K=K)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+    # N on the grid value nearest the stationary point n0 of the n-phase
+    # Phi(n) - sigma n / q, so that the direct quadrature seeds a panel there
+    alpha, h, q = case["alpha"], case["h"], case["q"]
+    c = alpha_constants(alpha)
+    phi = (1 - alpha) * (alpha ** alpha * h) ** c.delta
+    k = q * case["u"] * case["m"] / case["s"]
+    for sigma, want in ((1, 1244.1), (2, 598.6)):
+        n0 = (sigma / (q * phi * c.gamma * k ** c.gamma)) \
+            ** (1 / (c.gamma - 1))
+        N = 1.1 ** round(math.log(n0) / math.log(1.1))
+        assert round(n0, 1) == want and N / 1.1 < n0 < N * 1.1
+        lhs, rhs = second_change_of_variables_check(
+            q=q, u=case["u"], m=case["m"], s=case["s"], sigma=sigma, h=h,
+            alpha=alpha, X=case["X"], window=case["window"], N=N, K=K)
+        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
 def test_poisson_second_empty_window():
