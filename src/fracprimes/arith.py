@@ -300,16 +300,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def inv_mod(a: int, q: int) -> int:
-    """Inverse of a modulo q; ArgumentError when gcd(a, q) != 1."""
-    if q < 1:
-        raise ArgumentError(f"modulus must be >= 1, got {q}")
-    g = math.gcd(a, q)
-    if g != 1:
-        raise ArgumentError(f"{a} not invertible mod {q} (gcd {g})")
-    return pow(a % q, -1, q)
-
-
 def unit_inverses(q: int) -> np.ndarray:
     """Array inv[l] with l*inv[l] == 1 mod q for units, and -1 elsewhere."""
     if q < 1:

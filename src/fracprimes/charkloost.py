@@ -23,7 +23,6 @@ import numpy as np
 from .arith import FactoredInteger, euler_phi, factor, primitive_root, tau_k, unit_inverses
 from .errors import ArgumentError, ResourceLimitError
 
-_TWO_PI = 2.0 * math.pi
 _Q_BUDGET = 10**5
 
 
@@ -127,21 +126,6 @@ def character_group(q: int) -> CharacterTable:
                           unit_mask=unit_mask)
 
 
-def chi_eval(table: CharacterTable, idx: int, n: int) -> complex:
-    """chi_idx(n): a root of unity on units, 0 off units."""
-    if not 0 <= idx < table.phi:
-        raise ArgumentError(f"character index {idx} out of range [0, {table.phi})")
-    n %= table.q
-    if not table.unit_mask[n]:
-        return 0j
-    e = table.exponents[idx]
-    d = table.dlog[n]
-    phase = 0.0
-    for j in range(len(e)):
-        phase += (e[j] * d[j] % table.orders[j]) / table.orders[j]
-    return complex(math.cos(_TWO_PI * phase), math.sin(_TWO_PI * phase))
-
-
 def chi_values(table: CharacterTable, idx: int) -> np.ndarray:
     """chi_idx(n) for n = 0..q-1 as one complex array."""
     if not 0 <= idx < table.phi:
@@ -183,22 +167,6 @@ def gauss_sum(table: CharacterTable, idx: int, s: int) -> complex:
     vals = chi_values(table, idx)
     ls = np.arange(q, dtype=np.float64)
     return complex(np.sum(vals * np.exp(2j * np.pi * ((s % q) * ls / q))))
-
-
-def orthogonality_project(table: CharacterTable, a: int, m: int) -> float:
-    """(1/phi) sum_chi chi(m) conj(chi(a)); 1 iff m = a (q) on units, else 0."""
-    q = table.q
-    a %= q
-    m %= q
-    if not table.unit_mask[a]:
-        raise ArgumentError(f"a={a} not coprime to q={q}")
-    if not table.unit_mask[m]:
-        return 0.0
-    if table.exponents.shape[1] == 0:
-        return 1.0
-    w = (table.dlog[m] - table.dlog[a]).astype(np.float64) / table.orders
-    phase = table.exponents.astype(np.float64) @ w
-    return float(np.real(np.sum(np.exp(2j * np.pi * phase)))) / table.phi
 
 
 def value_matrix(table: CharacterTable) -> np.ndarray:
@@ -249,11 +217,6 @@ def kloosterman(q: int, u: int, v: int) -> KloostermanValue:
                             value=float(np.real(total)),
                             imag_residual=float(abs(np.imag(total))),
                             weil_bound=weil_bound(q, u, v))
-
-
-def weil_margin(q: int, u: int, v: int) -> float:
-    """weil_bound - |S_q(u,v)|; negative values flag a bound violation."""
-    return kloosterman(q, u, v).margin
 
 
 def kloosterman_table(q: int) -> tuple[np.ndarray, float]:

@@ -34,7 +34,7 @@ from .charkloost import (character_group, gauss_sum, is_primitive,
 from .decomp import (DyadicTuple, classify_dyadic, classify_exponents,
                      heath_brown_terms, hb_residual_scan)
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
-                     ResourceLimitError)
+                     ResourceLimitError, StationaryPointError)
 from .expsums import (ExpSumSpec, FracWindow, bv_discrepancy, count_pi_I,
                       exp_sum_primes, level_of_distribution)
 from .oscillatory import (alpha_constants, gaussian_phase, make_first_phase,
@@ -224,30 +224,11 @@ def _encode(obj):
     return obj
 
 
-def _decode(obj):
-    if isinstance(obj, dict):
-        if set(obj) == {"__complex__"}:
-            re_, im_ = obj["__complex__"]
-            return complex(re_, im_)
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
-    return obj
-
-
 def record_to_json(rec: ResultRecord, canonical: bool = False) -> str:
     d = dataclasses.asdict(rec)
     if canonical:
         d["elapsed_ms"] = None
     return json.dumps(_encode(d), sort_keys=True, indent=2) + "\n"
-
-
-def record_from_json(text: str) -> ResultRecord:
-    d = _decode(json.loads(text))
-    return ResultRecord(command=d["command"], params=d["params"],
-                        values=d["values"],
-                        invariant_flags=d["invariant_flags"],
-                        elapsed_ms=d["elapsed_ms"], version=d["version"])
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +484,16 @@ def cmd_oscint(args, cfg: RunConfig):
         values["quad_error_estimate"] = res.error_estimate
         values["quad_nodes"] = res.terms_used
     if args.method in ("expansion", "both"):
-        res = stationary_expand(w, phase, n_terms=args.n_terms, J=J)
-        values["expansion"] = res.value
-        values["expansion_error_estimate"] = res.error_estimate
-        values["expansion_terms"] = res.terms_used
+        try:
+            res = stationary_expand(w, phase, n_terms=args.n_terms, J=J)
+        except StationaryPointError:
+            if args.method == "expansion":
+                raise
+            flags["stationary_point_in_J"] = False   # quad values only
+        else:
+            values["expansion"] = res.value
+            values["expansion_error_estimate"] = res.error_estimate
+            values["expansion_terms"] = res.terms_used
     if args.method == "bound":
         grid = np.linspace(J[0], J[1], 513)
         r = float(np.min(np.abs(phase.dg(grid, 1))))

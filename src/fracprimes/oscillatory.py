@@ -2,13 +2,15 @@
 
 Four layers, bottom up:
 
-* `quad_osc` — adaptive Gauss-Legendre panel quadrature for w(t) e(g(t)),
-  with panels capped at half an oscillation and split at stationary points;
-  one engine, `_s_integrals`, refines such a grid for a single phase and for
-  all I(s) of a Poisson check at once.
+* `quad_osc` — adaptive Gauss-Legendre panel quadrature for w(t) e(g(t))
+  over any J, with panels capped at half an oscillation and split at the
+  stationary point.  The I(s) of a Poisson check come instead from one
+  trapezoid rule over the whole support, `_trapezoid_s_integrals`: the
+  amplitude vanishes to all orders at both ends, so the rule converges
+  faster than any power of its node count.
 * `nonstationary_bound` — the integration-by-parts tail bound
   J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) for phases whose
-  derivative stays away from zero on the window.
+  derivative stays away from zero on the window, for one R_I or an array.
 * `stationary_point` / `stationary_values` / `stationary_expand` — the
   stationary point from the closed form every phase carries, plus the
   truncated asymptotic expansion  e(g(t0)) / |g''|^{1/2} * sum_n p_n  with
@@ -273,110 +275,138 @@ def _window(w: WindowModel, J) -> tuple:
 
 def quad_osc(w: WindowModel, g: PhaseModel, J=None,
              tol: float = 1e-9) -> OscIntegralResult:
-    """Adaptive panel quadrature of int w(t) e(g(t)) dt over J.
+    """Adaptive GL-15 panel quadrature of int w(t) e(g(t)) dt over J.
 
-    The single-phase case (s = 0, no slope) of _s_integrals: panels are
-    seeded at stationary points, subdivided until each spans at most half
-    an oscillation of g, then bisected where the two-level discrepancy is
-    largest until the summed estimate is below tol.
+    Edges are seeded at the ends of J and the stationary point of g, then
+    subdivided until each panel spans at most half an oscillation of g.
+    Each round compares every panel's GL-15 value with the sum over its two
+    halves and bisects the panels whose discrepancy exceeds tol / panels,
+    until the summed discrepancy is <= tol.  Panels go in blocks of
+    _BLOCK_PANELS, so memory stays bounded.
     """
     a, b = _window(w, J)
     if not b > a:
         return OscIntegralResult(value=0j, error_estimate=0.0, terms_used=0)
-    try:
-        vals, errs, nodes = _s_integrals(w, a, b, g, 0.0, [0], tol)
-    except AccuracyError as e:
-        if e.value is None:
-            raise
-        raise AccuracyError(str(e), value=complex(e.value[0][0]),
-                            error_estimate=float(e.value[1][0])) from None
-    return OscIntegralResult(value=complex(vals[0]),
-                             error_estimate=float(errs[0]), terms_used=nodes)
-
-
-def _s_integrals(w: WindowModel, a: float, b: float, g0: PhaseModel,
-                 slope: float, ss, tol: float):
-    """I(s) = int_a^b w e(g_s) for each s in ss, on one adaptive GL-15 grid.
-
-    g_s = g0 - slope s t, so e(g_s) = e(g0) z^s with z = e(-slope t): w and
-    g0 are evaluated once per node and each s costs a few products (z is
-    skipped when slope == 0).  Edges are seeded at a, b and the stationary
-    points of g0, then subdivided until each panel spans at most half an
-    oscillation of the fastest phase, |g0'| + |slope| max|s|.  Each round
-    compares every panel's GL-15 value with the sum over its two halves and
-    bisects the panels where any s's discrepancy exceeds tol / panels, until
-    each s's summed discrepancy is <= tol.  Panels go in blocks of
-    _BLOCK_PANELS, so memory stays bounded.  Returns (values, errors, nodes),
-    values/errors per s.
-    """
     if tol < 1e-12:
         raise ArgumentError(f"tol {tol} below supported floor 1e-12")
-    slot = {int(s): j for j, s in enumerate(ss)}
-    s_lo, s_hi = min(slot), max(slot)
-    lin = abs(slope) * max(-s_lo, s_hi)
     edges = _budget_edges(
-        np.array(sorted({a, b, *_stationary_candidates(g0, a, b)}), dtype=float),
-        lambda x: np.abs(np.asarray(g0.dg(x, 1), dtype=float)) + lin)
+        np.array(sorted({a, b, *_stationary_candidates(g, a, b)}), dtype=float),
+        lambda x: np.abs(np.asarray(g.dg(x, 1), dtype=float)))
     nodes = 0
     for _ in range(_MAX_ROUNDS):
         half_edges = np.empty(2 * len(edges) - 1)
         half_edges[0::2] = edges
         half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
-        vals, errs = np.zeros(len(slot), dtype=np.complex128), np.zeros(len(slot))
-        worst = np.zeros(len(edges) - 1)
+        val, err_sum = 0j, 0.0
+        worst = np.empty(len(edges) - 1)
         for i in range(0, len(edges) - 1, _BLOCK_PANELS):
             j = min(i + _BLOCK_PANELS, len(edges) - 1)
             # each panel's 15 nodes, then 15 on each of its halves
             t, half = _gl_nodes(edges[i:j + 1])
             t_fine, h_fine = _gl_nodes(half_edges[2 * i:2 * j + 1])
             t = np.hstack((t, t_fine.reshape(j - i, 2 * _SQRT_GL)))
-            base = (np.asarray(w(t), dtype=np.complex128)
-                    * _phase_circle(g0.g(t)) * np.tile(_GL_W, 3))
-            z, power = ((_phase_circle(-slope * t), _phase_circle(-slope * s_lo * t))
-                        if slope else (1.0, 1.0))
-            for s in range(s_lo, s_hi + 1):
-                if (k := slot.get(s)) is not None:
-                    part = (base * power).reshape(j - i, 3, _SQRT_GL).sum(axis=2)
-                    fine = part[:, 1] * h_fine[0::2] + part[:, 2] * h_fine[1::2]
-                    err = np.abs(part[:, 0] * half - fine)
-                    vals[k] += fine.sum()
-                    errs[k] += err.sum()
-                    np.maximum(worst[i:j], err, out=worst[i:j])
-                power *= z
+            part = (np.asarray(w(t), dtype=np.complex128) * _phase_circle(g.g(t))
+                    * np.tile(_GL_W, 3)).reshape(j - i, 3, _SQRT_GL).sum(axis=2)
+            fine = part[:, 1] * h_fine[0::2] + part[:, 2] * h_fine[1::2]
+            worst[i:j] = np.abs(part[:, 0] * half - fine)
+            val += fine.sum()
+            err_sum += worst[i:j].sum()
         nodes += 3 * _SQRT_GL * len(worst)
-        if errs.max() <= tol:
-            return vals, errs, nodes
+        if err_sum <= tol:
+            return OscIntegralResult(value=complex(val),
+                                     error_estimate=float(err_sum),
+                                     terms_used=nodes)
         if 2 * len(edges) > _MAX_PANELS:
             break
         keep = np.ones(len(half_edges), dtype=bool)
         keep[1::2] = worst > tol / len(worst)   # keep midpoints only where needed
         edges = half_edges[keep]
-    raise AccuracyError(f"no convergence to tol={tol}", value=(vals, errs),
-                        error_estimate=float(errs.max()))
+    raise AccuracyError(f"no convergence to tol={tol}", value=complex(val),
+                        error_estimate=float(err_sum))
+
+
+_MAX_TRAPEZOID_NODES = 2 ** 20
+_BLOCK_NODES = 2 ** 15   # ~0.5 MB per complex array of a block
+
+
+def _trapezoid_s_integrals(w: WindowModel, a: float, b: float, g0: PhaseModel,
+                           slope: float, ss, tol: float):
+    """I(s) = int_a^b w e(g_s), g_s = g0 - slope s t, for each s in ss by
+    one trapezoid rule; returns (values, errors, nodes), values/errors per s.
+
+    w must vanish at a and b.  Every Poisson amplitude vanishes there to all
+    orders, and then the N-point rule converges faster than any power of N
+    once N exceeds the oscillations of the fastest phase (Trefethen and
+    Weideman, SIAM Review 56(3), 2014).  So N starts at the next power of
+    two >= (b - a) max(|g0'| + |slope| max|s|) + 16 (from lower, two
+    under-resolved levels can share one aliasing error and agree) and
+    doubles, each level adding only its odd nodes, until every error
+    |T_N - T_{N/2}| is <= tol.  e(g_s) = e(g0) z^s with z = e(-slope t), so
+    w and g0 are evaluated once per node.
+    """
+    if float(w(a)) != 0.0 or float(w(b)) != 0.0:
+        raise InvariantViolation(f"the trapezoid rule needs w(a) = w(b) = 0, "
+                                 f"got {float(w(a))} and {float(w(b))}")
+    slot = {int(s): j for j, s in enumerate(ss)}
+    s_lo, s_hi = min(slot), max(slot)
+    speed = (float(np.max(np.abs(g0.dg(np.linspace(a, b, 257), 1))))
+             + abs(slope) * max(-s_lo, s_hi))
+    if not math.isfinite(speed):
+        raise ArgumentError("the phase speed |g'| is not finite on the window")
+    n = 1 << (math.ceil((b - a) * speed + 16) - 1).bit_length()
+    sums = np.zeros(len(slot), dtype=np.complex128)
+    vals = errs = None
+    while n <= _MAX_TRAPEZOID_NODES:
+        k = np.arange(1, n, 1 if vals is None else 2)
+        for i in range(0, len(k), _BLOCK_NODES):
+            t = a + (b - a) * (k[i:i + _BLOCK_NODES] / n)
+            power = (np.asarray(w(t), dtype=np.complex128)
+                     * _phase_circle(g0.g(t)) * _phase_circle(-slope * s_lo * t))
+            z = _phase_circle(-slope * t)
+            for s in range(s_lo, s_hi + 1):
+                if (j := slot.get(s)) is not None:
+                    sums[j] += power.sum()
+                power *= z
+        prev, vals = vals, sums * ((b - a) / n)
+        if prev is not None:
+            errs = np.abs(vals - prev)
+            if errs.max() <= tol:
+                return vals, errs, n - 1
+        n *= 2
+    raise AccuracyError(f"trapezoid rule: no convergence to tol={tol} within "
+                        f"{_MAX_TRAPEZOID_NODES} nodes",
+                        value=None if errs is None else (vals, errs),
+                        error_estimate=None if errs is None else float(errs.max()))
 
 
 # ---------------------------------------------------------------------------
 # non-stationary (integration by parts) bound
 
 def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
-                        R_I: float, A_I: float, J_len: float) -> float:
+                        R_I, A_I: float, J_len: float):
     """J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}).
 
     Valid when the phase derivative exceeds R_I on the window, the
     amplitude is X_I-bounded with V_I-scaled derivatives, and the phase
     second derivative is Y_I Q_I^{-2}-ish; the leading constant is not
-    pinned by theory and is taken as 1.
+    pinned by theory and is taken as 1.  R_I may be an array: the bound is
+    then taken elementwise.
     """
     for name, val in (("X_I", X_I), ("V_I", V_I), ("Y_I", Y_I),
                       ("Q_I", Q_I), ("R_I", R_I), ("A_I", A_I),
                       ("J_len", J_len)):
-        if val <= 0:
+        if np.any(np.asarray(val) <= 0):
             raise ArgumentError(f"{name} must be positive, got {val}")
     if Y_I < 1:
         raise ArgumentError(f"need Y_I >= 1, got {Y_I}")
-    d1 = Q_I * R_I / math.sqrt(Y_I)
-    d2 = R_I * V_I
-    return J_len * X_I * (d1 ** (-A_I) + d2 ** (-A_I))
+    r = np.atleast_1d(np.asarray(R_I, dtype=float))
+
+    def power(d):   # libm pow per element, as a scalar float ** computes it:
+        # numpy's SIMD power can differ from it in the last bit
+        return (d.astype(object) ** (-A_I)).astype(float)
+
+    out = J_len * X_I * (power(Q_I * r / math.sqrt(Y_I)) + power(r * V_I))
+    return out if np.ndim(R_I) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +578,19 @@ def _snap(part, x: float) -> float:
 _A_TAIL = 8.0
 
 
+def _tail_sum(sm: int, num: float, den: float, lead_peak: float, q: int,
+              bound: dict) -> float:
+    """sum over 1 <= |s| - sm < 63 (sm + 1) of q nonstationary_bound(R_I = r),
+    r = num |s| / den - lead_peak, terms with r <= 0 dropped; added up in
+    order of |s| and cut at the first term under 1e-22 of the running sum."""
+    s_t = np.arange(sm + 1, 64 * (sm + 1))
+    r = num * s_t / den - lead_peak
+    term = nonstationary_bound(R_I=r[r > 0], **bound)
+    acc = np.cumsum(2 * term * q)   # both signs of s; |tau| <= q
+    cut = np.flatnonzero(term * q < 1e-22 * np.maximum(acc, 1.0))
+    return float(acc[cut[0] if len(cut) else -1]) if len(acc) else 0.0
+
+
 def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
                    phase_at, *, pref: float, slope: tuple, lead_peak: float,
                    g_lead: float, v_width: float, curv: float, T: float,
@@ -563,8 +606,8 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     amplitude's inverse-derivative scale, curv the size of g_s''.  Without
     a given s_max the sum grows from ceil(T) + 4 until the tail bound
     beyond it drops under tol/4; T < 1 means no s has a stationary point.
-    meta["quad_err"] = |pref| sum_s |tau(chi; s)| err(s), err(s) the
-    shared grid's estimate for I(s).
+    meta["quad_err"] = |pref| sum_s |tau(chi; s)| err(s), err(s) =
+    |T_N - T_{N/2}| for I(s), the last two levels of the trapezoid rule.
     """
     q = len(gauss)
     lo, hi = wmodel.lo, wmodel.hi
@@ -578,19 +621,11 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     v_scale = v_width / _A_TAIL ** 2
     y_curv = max(curv, 1.0)
 
+    bound = dict(X_I=max(amp_max, 1e-300), V_I=v_scale, Y_I=y_curv, Q_I=1.0,
+                 A_I=_A_TAIL, J_len=max(hi - lo, 1e-12))
+
     def tail_beyond(sm: int) -> float:
-        acc = 0.0
-        for s_t in range(sm + 1, 64 * (sm + 1)):
-            r = num * s_t / den - lead_peak
-            if r <= 0:
-                continue
-            term = nonstationary_bound(X_I=max(amp_max, 1e-300), V_I=v_scale,
-                                       Y_I=y_curv, Q_I=1.0, R_I=r, A_I=_A_TAIL,
-                                       J_len=max(hi - lo, 1e-12))
-            acc += 2 * term * q   # both signs of s; |tau| <= q
-            if term * q < 1e-22 * max(acc, 1.0):
-                break
-        return acc * abs(pref)
+        return _tail_sum(sm, num, den, lead_peak, q, bound) * abs(pref)
 
     if s_max is None:
         s_max = int(math.ceil(T)) + 4
@@ -609,8 +644,8 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
         ss = np.arange(-s_max, s_max + 1)
         ss = ss[np.abs(gauss[ss % q]) >= 1e-13]
         if len(ss):
-            vals, errs, _ = _s_integrals(wmodel, lo, hi, phase_at(0),
-                                         num / den, ss, qtol)
+            vals, errs, _ = _trapezoid_s_integrals(wmodel, lo, hi, phase_at(0),
+                                                   num / den, ss, qtol)
             rhs = complex(np.sum(gauss[ss % q] * vals))
             quad_err = float(np.sum(np.abs(gauss[ss % q]) * errs))
     rhs *= pref
@@ -823,6 +858,8 @@ def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
     to tol 1e-9.  Equality is the change-of-variables
     T = a h q u m n/(s X^{1-a}) with its Jacobian.
     """
+    if not h > 0:  # the n-phase scale (1-a) (a^a h)^{1/(1-a)} is real
+        raise ArgumentError(f"the second-kind n-phase needs h > 0, got {h}")
     cst = alpha_constants(alpha)
     part = _partition(X)
     part.index_of(N)

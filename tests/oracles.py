@@ -54,6 +54,11 @@ def mobius_direct(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+def inv_mod(a: int, q: int) -> int:
+    """Inverse of a modulo q by Python's pow; ValueError when gcd(a, q) != 1."""
+    return pow(a % q, -1, q)
+
+
 def phi_direct(q: int) -> int:
     return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
@@ -224,6 +229,36 @@ def chi_table_brute(q: int) -> list[list[complex]]:
     return chars
 
 
+def chi_eval(table, idx: int, n: int) -> complex:
+    """chi_idx(n) from a character table's exponent vectors and discrete
+    logs: the phase sum of (e_j d_j mod order_j) / order_j, each term reduced
+    exactly in integers; 0 off units."""
+    n %= table.q
+    if not table.unit_mask[n]:
+        return 0j
+    e, d = table.exponents[idx], table.dlog[n]
+    phase = sum(int(e[j] * d[j] % table.orders[j]) / int(table.orders[j])
+                for j in range(len(e)))
+    return cmath.exp(2j * math.pi * phase)
+
+
+def orthogonality_project(table, a: int, m: int) -> float:
+    """(1/phi) sum_chi chi(m) conj(chi(a)) from the table's exponents and
+    discrete logs; ValueError when a is not a unit mod q."""
+    q = table.q
+    a %= q
+    m %= q
+    if not table.unit_mask[a]:
+        raise ValueError(f"a={a} not coprime to q={q}")
+    if not table.unit_mask[m]:
+        return 0.0
+    if table.exponents.shape[1] == 0:
+        return 1.0
+    w = (table.dlog[m] - table.dlog[a]).astype(np.float64) / table.orders
+    phase = table.exponents.astype(np.float64) @ w
+    return float(np.real(np.sum(np.exp(2j * np.pi * phase)))) / table.phi
+
+
 def gauss_sum_brute(chi_row: list[complex], q: int, s: int) -> complex:
     return sum(chi_row[l % q] * cmath.exp(2j * math.pi * s * l / q)
                for l in range(q))
@@ -357,6 +392,26 @@ def quad_oracle(w_fn, g_fn, lo, hi, dps=30, maxdegree=12) -> complex:
         return complex(val)
 
 
+def exact_phase_s_integrals(w, a, b, lead, slope, ss, n, dps=40):
+    """The n-point trapezoid sum for int_a^b w(t) e(g_s(t)) dt, one per s in
+    ss, with g_s(t) = lead(t) - slope s t and g_s mod 1 computed in
+    dps-digit mpmath.  lead(t) takes and returns an mpf; slope is an mpf.
+    The nodes are the float64 t_k = a + (b - a) (k / n), 0 < k < n, and w is
+    evaluated there in float64."""
+    t = a + (b - a) * (np.arange(1, n) / n)
+    wt = np.asarray(w(t), dtype=float)
+    out = []
+    with mpmath.workdps(dps):
+        tm = [mpmath.mpf(float(x)) for x in t]
+        lm = [lead(x) for x in tm]
+        for s in ss:
+            ph = np.array([float(mpmath.frac(g - slope * s * x))
+                           for g, x in zip(lm, tm)])
+            out.append(complex(np.sum(wt * np.exp(2j * np.pi * ph)))
+                       * ((b - a) / n))
+    return out
+
+
 def stationary_scan(dg, a: float, b: float) -> list[float]:
     """Zeros of g' in (a, b) without a closed form: a 257-point sign scan of
     dg(t, 1), exact grid zeros plus a 60-step bisection per sign change,
@@ -415,3 +470,21 @@ def bump_oracle(y, delta, x, j=0, dps=40) -> float:
             return float(psi(x))
         return float(mpmath.diff(psi, mpmath.mpf(x), j, relative=False,
                                  h=mpmath.mpf("1e-6")))
+
+
+def tail_beyond_loop(sm: int, num, den, lead_peak, q, bound) -> float:
+    """The Poisson tail sum one s at a time, with the scalar bound
+    J_len X_I ((Q R / sqrt(Y))^{-A} + (R V)^{-A}) written out per term."""
+    acc = 0.0
+    for s_t in range(sm + 1, 64 * (sm + 1)):
+        r = num * s_t / den - lead_peak
+        if r <= 0:
+            continue
+        d1 = bound["Q_I"] * r / math.sqrt(bound["Y_I"])
+        d2 = r * bound["V_I"]
+        term = bound["J_len"] * bound["X_I"] * (d1 ** (-bound["A_I"])
+                                                + d2 ** (-bound["A_I"]))
+        acc += 2 * term * q
+        if term * q < 1e-22 * max(acc, 1.0):
+            break
+    return acc

@@ -306,22 +306,26 @@ def _poisson_grid():
     return cases
 
 
-def _criterion_6(threads: int):
+def _poisson_check_args(case):
+    """(verify function, keyword arguments) of one criterion-6 case."""
+    kind, q, alpha, chi = case
     win = make_bump(2.0, 0.2)
+    if kind.startswith("first"):
+        h = 0.0 if kind == "first-classical" else _poisson_h1(q, alpha)
+        return poisson_verify_first, dict(q=q, u=1, m=2, n=3, chi_index=chi,
+                                          h=h, alpha=alpha, X=_POISSON_X,
+                                          window=win, tol=1e-5)
+    return poisson_verify_second, dict(q=q, u=1, m=2, s=_poisson_s2(q, alpha),
+                                       chi_index=chi, h=_POISSON_H2[alpha],
+                                       alpha=alpha, X=_POISSON_X, window=win,
+                                       tol=1e-5)
 
+
+def _criterion_6(threads: int):
     def per_case(case):
         kind, q, alpha, chi = case
-        if kind.startswith("first"):
-            h = 0.0 if kind == "first-classical" else _poisson_h1(q, alpha)
-            chk = poisson_verify_first(q=q, u=1, m=2, n=3, chi_index=chi,
-                                       h=h, alpha=alpha, X=_POISSON_X,
-                                       window=win, tol=1e-5)
-        else:
-            chk = poisson_verify_second(q=q, u=1, m=2,
-                                        s=_poisson_s2(q, alpha),
-                                        chi_index=chi, h=_POISSON_H2[alpha],
-                                        alpha=alpha, X=_POISSON_X,
-                                        window=win, tol=1e-5)
+        verify, kwargs = _poisson_check_args(case)
+        chk = verify(**kwargs)
         return (f"{kind:15s} q={q:2d} alpha={alpha} chi={chi}: "
                 f"rel={chk.rel:.3e} s_max={chk.s_max}"), chk.rel
 

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import euler_phi, inv_mod, primes_upto
-from fracprimes.charkloost import (character_group, chi_eval, chi_values,
-                                   gauss_sum, is_primitive, kloosterman,
-                                   kloosterman_table, orthogonality_project,
-                                   value_matrix, weil_bound, weil_margin,
-                                   weil_margin_table)
+from fracprimes.arith import euler_phi, primes_upto
+from fracprimes.charkloost import (character_group, chi_values, gauss_sum,
+                                   is_primitive, kloosterman,
+                                   kloosterman_table, value_matrix,
+                                   weil_bound, weil_margin_table)
 from fracprimes.errors import ArgumentError, ResourceLimitError
 
 import oracles
@@ -33,7 +32,7 @@ def test_character_group_matches_brute_homomorphisms(q):
 def test_q5_order_four_character():
     tbl = character_group(5)
     assert tbl.phi == 4
-    vals = {complex(chi_eval(tbl, i, 2)) for i in range(4)}
+    vals = {complex(chi_values(tbl, i)[2]) for i in range(4)}
     assert any(abs(v - 1j) < 1e-12 for v in vals)
     assert any(abs(v + 1j) < 1e-12 for v in vals)
 
@@ -55,12 +54,15 @@ def test_chi_zero_off_units_and_multiplicative():
             idx = int(rng.integers(0, tbl.phi))
             m = int(rng.integers(1, 300))
             n = int(rng.integers(1, 300))
-            lhs = complex(chi_eval(tbl, idx, m * n))
-            rhs = complex(chi_eval(tbl, idx, m)) * complex(chi_eval(tbl, idx, n))
+            row = chi_values(tbl, idx)
+            lhs = complex(row[m * n % q])
+            rhs = complex(row[m % q]) * complex(row[n % q])
             assert abs(lhs - rhs) < 1e-10
+            assert abs(lhs - oracles.chi_eval(tbl, idx, m * n)) < 1e-12
         for n in range(q):
             if math.gcd(n, q) > 1:
-                assert chi_eval(tbl, 1 % tbl.phi, n) == 0
+                assert chi_values(tbl, 1 % tbl.phi)[n] == 0
+                assert oracles.chi_eval(tbl, 1 % tbl.phi, n) == 0
 
 
 def test_gauss_sum_primitive_modulus():
@@ -80,7 +82,7 @@ def test_gauss_sum_twist_identity():
             for s in range(1, q):
                 if math.gcd(s, q) != 1:
                     continue
-                expect = complex(chi_eval(tbl, idx, s)).conjugate() * base
+                expect = complex(chi_values(tbl, idx)[s]).conjugate() * base
                 assert abs(gauss_sum(tbl, idx, s) - expect) < 1e-9
 
 
@@ -107,12 +109,20 @@ def test_gauss_sum_matches_brute():
 
 def test_orthogonality_project_examples():
     t5 = character_group(5)
-    assert abs(orthogonality_project(t5, 2, 2) - 1.0) <= 1e-10
-    assert abs(orthogonality_project(t5, 2, 3)) <= 1e-10
+    assert abs(oracles.orthogonality_project(t5, 2, 2) - 1.0) <= 1e-10
+    assert abs(oracles.orthogonality_project(t5, 2, 3)) <= 1e-10
     t12 = character_group(12)
-    assert abs(orthogonality_project(t12, 5, 7)) <= 1e-10
-    with pytest.raises(ArgumentError):
-        orthogonality_project(t5, 5, 2)
+    assert abs(oracles.orthogonality_project(t12, 5, 7)) <= 1e-10
+    with pytest.raises(ValueError):
+        oracles.orthogonality_project(t5, 5, 2)
+    # the library's value matrix gives the same projections
+    for tbl in (t5, t12, character_group(36)):
+        V = value_matrix(tbl)
+        for a in range(1, tbl.q):
+            if math.gcd(a, tbl.q) == 1:
+                for m in range(tbl.q):
+                    got = float(np.real(np.vdot(V[:, a], V[:, m]))) / tbl.phi
+                    assert abs(got - oracles.orthogonality_project(tbl, a, m)) <= 1e-10
 
 
 @pytest.mark.parametrize("q", [5, 8, 12, 36, 97])
@@ -179,8 +189,8 @@ def test_kloosterman_multiplicativity_crt():
             v = int(rng.integers(0, q))
             lhs = kloosterman(q, u, v).value
             # S_{q1 q2}(u, v) = S_{q1}(u q2bar, v q2bar) S_{q2}(u q1bar, v q1bar)
-            q2b = inv_mod(q2 % q1, q1) if q1 > 1 else 0
-            q1b = inv_mod(q1 % q2, q2) if q2 > 1 else 0
+            q2b = oracles.inv_mod(q2 % q1, q1) if q1 > 1 else 0
+            q1b = oracles.inv_mod(q1 % q2, q2) if q2 > 1 else 0
             rhs = (kloosterman(q1, u * q2b % q1, v * q2b % q1).value
                    * kloosterman(q2, u * q1b % q2, v * q1b % q2).value)
             assert abs(lhs - rhs) <= 1e-9
@@ -192,7 +202,7 @@ def test_weil_margin_never_negative_sampled():
         q = int(rng.integers(2, 120))
         u = int(rng.integers(0, q))
         v = int(rng.integers(0, q))
-        assert weil_margin(q, u, v) >= -1e-9
+        assert kloosterman(q, u, v).margin >= -1e-9
         assert abs(weil_bound(q, u, v)
                    - oracles.tau_k_direct(q, 2) * math.sqrt(q)
                    * math.sqrt(math.gcd(u, math.gcd(v, q)))) <= 1e-9
@@ -207,7 +217,7 @@ def test_weil_table_consistent_with_scalar():
         for u in (0, 1, q - 1):
             for v in (0, 2, q - 1):
                 assert abs(vals[u, v] - kloosterman(q, u, v).value) <= 1e-9
-                assert abs(margins[u, v] - weil_margin(q, u, v)) <= 1e-9
+                assert abs(margins[u, v] - kloosterman(q, u, v).margin) <= 1e-9
         assert (margins >= -1e-9).all()
 
 

@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -9,10 +10,29 @@ import pytest
 
 from fracprimes import cli
 from fracprimes.arith import save_sieve, sieve_primes
-from fracprimes.cli import (ResultRecord, main, record_from_json,
-                            record_to_json)
+from fracprimes.cli import ResultRecord, main, record_to_json
 
 import oracles
+
+
+def _decode(obj):
+    """The JSON value with every {"__complex__": [re, im]} made a complex."""
+    if isinstance(obj, dict):
+        if set(obj) == {"__complex__"}:
+            re_, im_ = obj["__complex__"]
+            return complex(re_, im_)
+        return {k: _decode(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_decode(v) for v in obj]
+    return obj
+
+
+def record_from_json(text: str) -> ResultRecord:
+    d = _decode(json.loads(text))
+    return ResultRecord(command=d["command"], params=d["params"],
+                        values=d["values"],
+                        invariant_flags=d["invariant_flags"],
+                        elapsed_ms=d["elapsed_ms"], version=d["version"])
 
 
 def _reject_constant(name):
@@ -163,6 +183,30 @@ def test_oscint_gaussian_both(capsys):
     lead = 1.0 * cmath.exp(-1j * math.pi / 4) / math.sqrt(200.0)
     assert abs(rec.values["expansion"] - lead) < 1e-12
     assert rec.values["rel_error"] < 1e-6
+
+
+@pytest.mark.parametrize("phase", ["first", "second"])
+def test_oscint_default_without_stationary_point_reports_quad(capsys, phase):
+    # h = 1, s = 1, X = 1e5 put t0 near 2e-6, far outside J = (0.8, 2.2)
+    code, out, _ = run_cli(capsys, ["oscint", "--phase", phase,
+                                    "--output", "json"])
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags == {"stationary_point_in_J": False}
+    assert set(rec.values) == {"quad", "quad_error_estimate", "quad_nodes"}
+    code, out, err = run_cli(capsys, ["oscint", "--phase", phase,
+                                      "--method", "expansion"])
+    assert code == 2 and "outside window" in err and out == ""
+
+
+def test_oscint_gaussian_default_record_unchanged(capsys):
+    # the record `oscint --output json` printed before the
+    # stationary_point_in_J flag existed, byte for byte
+    code, out, _ = run_cli(capsys, ["oscint", "--output", "json"])
+    assert code == 0
+    assert "stationary_point_in_J" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5ef743a54be7cd278b7649fc40fa561603f968c17ae47146751db964fb6aff85")
 
 
 def test_selftest_passes(capsys):

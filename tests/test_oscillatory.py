@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracprimes.oscillatory as osc
 from fracprimes.errors import (AccuracyError, ArgumentError,
-                               StationaryPointError)
+                               InvariantViolation, StationaryPointError)
 from fracprimes.oscillatory import (PhaseModel, WindowModel,
                                     alpha_constants, gaussian_phase,
                                     make_first_phase,
@@ -24,6 +24,7 @@ from fracprimes.oscillatory import (PhaseModel, WindowModel,
 from fracprimes.smoothing import BumpWindow, eval_bump
 
 import oracles
+from test_acceptance import _poisson_check_args, _poisson_grid
 
 
 BUMP = BumpWindow(y=2.0, delta=0.2)
@@ -507,6 +508,14 @@ def test_poisson_second_jacobian_change_of_variables():
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
+def test_change_of_variables_check_needs_positive_h():
+    # a negative h made the n-phase scale complex and raised TypeError
+    with pytest.raises(ArgumentError, match="needs h > 0"):
+        second_change_of_variables_check(
+            q=3, u=1, m=2, s=143, sigma=1, h=-5035.0, alpha=0.05, X=10 ** 4,
+            window=BumpWindow(2.0, 0.2), N=1.1 ** 75, K=1.1 ** 22)
+
+
 def test_poisson_second_empty_window():
     res = poisson_verify_second(q=3, u=1, m=2, s=2, chi_index=0, h=50,
                                 alpha=0.05, X=10 ** 4, window=BUMP, tol=1e-4)
@@ -546,14 +555,14 @@ def _captured_s_grid(monkeypatch, verify, **case):
     """Run a Poisson check and capture the arguments of its shared-grid
     call together with the per-s values and errors it returned."""
     calls = []
-    real = osc._s_integrals
+    real = osc._trapezoid_s_integrals
 
     def spy(w, a, b, g0, slope, ss, tol):
         out = real(w, a, b, g0, slope, ss, tol)
         calls.append(((w, a, b, g0, slope, list(ss), tol), out))
         return out
 
-    monkeypatch.setattr(osc, "_s_integrals", spy)
+    monkeypatch.setattr(osc, "_trapezoid_s_integrals", spy)
     verify(**case)
     assert len(calls) == 1
     return calls[0]
@@ -588,20 +597,104 @@ def test_shared_grid_matches_per_s_quadrature(monkeypatch, which):
         assert abs(val - ref.value) <= err + ref.error_estimate, s
 
 
-def test_shared_grid_panel_cap_raises(monkeypatch):
+def test_gl_panel_cap_raises(monkeypatch):
+    # quad_osc on the fastest phase of criterion 6's first-kind s-sum
     verify, case = _criterion6_cases()[0]
-    (*grid, ss, tol), _ = _captured_s_grid(monkeypatch, verify, **case)
-    # the oscillation budget alone needs ~6,000 panels here
+    (w, _, _, g0, _, ss, _), _ = _captured_s_grid(monkeypatch, verify, **case)
+    g = make_first_phase(**{**g0.params, "s": max(ss)})
+    # the oscillation budget alone needs thousands of panels here
     monkeypatch.setattr(osc, "_MAX_PANELS", 64)
     with pytest.raises(AccuracyError) as exc:
-        osc._s_integrals(*grid, ss, tol)
+        quad_osc(w, g, tol=1e-12)
     assert exc.value.value is None
     # the refinement rounds honour the cap too, and report what they reached
     monkeypatch.setattr(osc, "_MAX_PANELS", 10_000)
     with pytest.raises(AccuracyError) as exc:
-        osc._s_integrals(*grid, ss, 1e-12)
-    vals, errs = exc.value.value
-    assert len(vals) == len(errs) == len(ss)
-    assert exc.value.error_estimate == errs.max() > 1e-12
+        quad_osc(w, g, tol=1e-12)
+    assert isinstance(exc.value.value, complex)
+    assert exc.value.error_estimate > 1e-12
     with pytest.raises(ArgumentError):
-        osc._s_integrals(*grid, ss, 1e-13)
+        quad_osc(w, g, tol=1e-13)
+
+
+def test_trapezoid_needs_vanishing_ends_and_caps_nodes(monkeypatch):
+    verify, case = _criterion6_cases()[0]
+    (w, a, b, g0, slope, ss, tol), (vals, errs, nodes) = _captured_s_grid(
+        monkeypatch, verify, **case)
+    assert w(a) == w(b) == 0.0
+    # the rule's error claim needs an amplitude that vanishes at both ends
+    with pytest.raises(InvariantViolation, match="w\\(a\\) = w\\(b\\) = 0"):
+        osc._trapezoid_s_integrals(w, 0.5 * (a + b), b, g0, slope, ss, tol)
+    # the converged level N = nodes + 1 as the cap, and a tolerance it misses:
+    # the error carries that level's values and differences, per s
+    monkeypatch.setattr(osc, "_MAX_TRAPEZOID_NODES", nodes + 1)
+    with pytest.raises(AccuracyError) as exc:
+        osc._trapezoid_s_integrals(w, a, b, g0, slope, ss, errs.max() / 2)
+    got_vals, got_errs = exc.value.value
+    assert np.array_equal(got_vals, vals) and np.array_equal(got_errs, errs)
+    assert exc.value.error_estimate == errs.max()
+    # a cap below the starting level leaves nothing to report
+    monkeypatch.setattr(osc, "_MAX_TRAPEZOID_NODES", 16)
+    with pytest.raises(AccuracyError) as exc:
+        osc._trapezoid_s_integrals(w, a, b, g0, slope, ss, tol)
+    assert exc.value.value is None
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+def test_trapezoid_matches_exact_phase_oracle(monkeypatch, which):
+    # the same rule at twice the nodes, with every phase g_s(t) mod 1 taken
+    # in 40-digit arithmetic: the float64 phases and the stopping level
+    # together stay within the reported err(s)
+    verify, case = _criterion6_cases()[which]
+    (w, a, b, g0, slope, ss, _), (vals, errs, nodes) = _captured_s_grid(
+        monkeypatch, verify, **case)
+    p = {k: mpmath.mpf(v) for k, v in g0.params.items()}
+    al = p["alpha"]
+    if which == 0:
+        def lead(t):
+            return p["h"] * (p["X"] * t) ** al
+        mp_slope = p["X"] / (p["q"] * p["u"] * p["m"] * p["n"])
+    else:
+        def lead(t):
+            return (1 - al) * p["h"] * p["X"] ** al * t ** (al / (1 - al))
+        mp_slope = (p["X"] ** (1 - al) * p["s"]
+                    / (al * p["h"] * p["q"] ** 2 * p["u"] * p["m"]))
+    pick = [0, len(ss) // 2, len(ss) - 1]   # the largest |s| at both ends
+    ref = oracles.exact_phase_s_integrals(w, a, b, lead, mp_slope,
+                                          [ss[k] for k in pick], 2 * (nodes + 1))
+    for k, want in zip(pick, ref):
+        assert abs(vals[k] - want) <= errs[k] + 1e-13, ss[k]
+
+
+@pytest.mark.parametrize("sm_extra", [(0, 1, 5), (12, 40, 300)])
+def test_tail_sum_matches_scalar_loop(monkeypatch, sm_extra):
+    # every tail sum of the 20 criterion-6 cases, at the s_max each case
+    # asked for and at fixed ones, bit for bit against a loop over s
+    calls = []
+    real = osc._tail_sum
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(osc, "_tail_sum", spy)
+    for verify, case in map(_poisson_check_args, _poisson_grid()):
+        n_before = len(calls)
+        verify(**case)
+        assert len(calls) > n_before
+    for sm, *rest in calls:
+        for at in (sm, *sm_extra):
+            got = real(at, *rest)
+            assert got.hex() == oracles.tail_beyond_loop(at, *rest).hex()
+
+
+def test_nonstationary_bound_array_matches_scalar():
+    r = np.geomspace(1e-3, 1e4, 1001)
+    kw = dict(X_I=0.9, V_I=0.0025, Y_I=3.7e3, Q_I=1.0, A_I=8.0, J_len=1.6)
+    got = nonstationary_bound(R_I=r, **kw)
+    want = [1.6 * 0.9 * ((x / math.sqrt(3.7e3)) ** -8.0 + (x * 0.0025) ** -8.0)
+            for x in r.tolist()]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert nonstationary_bound(R_I=r[7], **kw) == want[7]
+    with pytest.raises(ArgumentError, match="R_I"):
+        nonstationary_bound(R_I=np.array([1.0, 0.0]), **kw)
