@@ -57,7 +57,7 @@ class SieveTable:
         return int(np.count_nonzero(self.is_prime))
 
     def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.is_prime).astype(np.int64) + self.lo
+        return np.flatnonzero(self.is_prime).astype(np.int64, copy=False) + self.lo
 
 
 def sieve_primes(lo: int, hi: int) -> SieveTable:
@@ -127,19 +127,42 @@ def save_sieve(table: SieveTable, path: str) -> None:
     atomic_write(path, payload + np.packbits(table.is_prime).tobytes())
 
 
-def load_sieve(path: str) -> SieveTable:
+def _read_header(fh, path: str) -> tuple[int, int]:
+    """(lo, hi) from an open cache file's header, once its magic and (by
+    fstat, before any bitmap byte is read) its size are checked."""
+    head = fh.read(20)
+    if head[:4] != CACHE_MAGIC:
+        raise ArgumentError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 20:
+        raise ArgumentError(f"{path}: truncated header ({len(head)} of 20 bytes)")
+    lo, hi = struct.unpack("<QQ", head[4:])
+    size = os.fstat(fh.fileno()).st_size - 20
+    if size != (hi - lo + 7) // 8:
+        raise ArgumentError(f"{path}: truncated bitmap ({size} bytes for {hi - lo} flags)")
+    return lo, hi
+
+
+def sieve_header(path: str) -> tuple[int, int]:
+    """[lo, hi) from a cache file's header, checked as by `load_sieve`."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CACHE_MAGIC:
-        raise ArgumentError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise ArgumentError(f"{path}: truncated header ({len(blob)} of 20 bytes)")
-    lo, hi = struct.unpack("<QQ", blob[4:20])
-    n = hi - lo
-    if len(blob) - 20 != (n + 7) // 8:
-        raise ArgumentError(f"{path}: truncated bitmap ({len(blob) - 20} bytes for {n} flags)")
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=20))[:n]
-    return SieveTable(lo=int(lo), hi=int(hi), is_prime=bits.astype(bool))
+        return _read_header(fh, path)
+
+
+def load_sieve(path: str, lo: int | None = None, hi: int | None = None) -> SieveTable:
+    """The cached table, or with lo and hi only the bitmap bytes that hold
+    [lo, hi): the result's lo and hi are then the byte edges of what was
+    read, clipped to the header's range.  A bad magic or a file whose size
+    disagrees with its header raises ArgumentError, whatever the range."""
+    with open(path, "rb") as fh:
+        t_lo, t_hi = _read_header(fh, path)
+        nbytes = (t_hi - t_lo + 7) // 8
+        b0 = 0 if lo is None else min(max(lo - t_lo, 0) // 8, nbytes)
+        b1 = nbytes if hi is None else max(b0, min((hi - t_lo + 7) // 8, nbytes))
+        fh.seek(20 + b0)
+        blob = fh.read(b1 - b0)
+    lo, hi = min(t_lo + 8 * b0, t_hi), min(t_lo + 8 * b1, t_hi)
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))[:hi - lo]
+    return SieveTable(lo=lo, hi=hi, is_prime=bits.view(bool))
 
 
 # ---------------------------------------------------------------------------

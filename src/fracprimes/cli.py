@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .arith import atomic_write, load_sieve, save_sieve, sieve_primes
+from .arith import (atomic_write, load_sieve, save_sieve, sieve_header,
+                    sieve_primes)
 from .charkloost import (character_group, gauss_sum, is_primitive,
                          kloosterman, kloosterman_table, weil_margin_table)
 from .decomp import (DyadicTuple, classify_dyadic, classify_exponents,
@@ -262,8 +264,9 @@ def cache_dir(cfg: RunConfig) -> str:
             or os.path.join(os.path.expanduser("~"), ".cache", "fracprimes"))
 
 
-def find_cached_table(cfg: RunConfig, need_hi: int):
-    """Smallest readable cached sieve covering [2, need_hi), or None.
+def find_cached_table(cfg: RunConfig, lo: int, need_hi: int):
+    """The smallest readable cached sieve whose header covers [2, need_hi),
+    read only over the bitmap bytes that hold [lo, need_hi); or None.
 
     A cache file that fails to load, or whose header does not cover
     [2, need_hi) whatever its name says, is skipped with a warning on stderr.
@@ -276,21 +279,21 @@ def find_cached_table(cfg: RunConfig, need_hi: int):
     for n in sizes:
         path = os.path.join(d, f"primes_{n}.fpl")
         try:
-            table = load_sieve(path)
-            if table.lo > 2 or table.hi < need_hi:
-                raise ArgumentError(f"{path}: header covers [{table.lo}, "
-                                    f"{table.hi}), not [2, {need_hi})")
-            return table
+            h_lo, h_hi = sieve_header(path)
+            if h_lo > 2 or h_hi < need_hi:
+                raise ArgumentError(f"{path}: header covers [{h_lo}, "
+                                    f"{h_hi}), not [2, {need_hi})")
+            return load_sieve(path, lo, need_hi)
         except (ArgumentError, OSError) as e:
             print(f"warning: skipping prime cache: {e}", file=sys.stderr)
     return None
 
 
-def _table_for(cfg: RunConfig, need_hi: int):
-    table = find_cached_table(cfg, need_hi)
+def _table_for(cfg: RunConfig, lo: int, need_hi: int):
+    table = find_cached_table(cfg, lo, need_hi)
     if table is not None:
         return table, True
-    return sieve_primes(2, need_hi), False
+    return sieve_primes(lo, need_hi), False
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +337,7 @@ def cmd_count(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    table, cached = _table_for(cfg, cfg.X + 1)
+    table, cached = _table_for(cfg, 2, cfg.X + 1)
     n = count_pi_I(cfg.X, q, a, win, table=table)
     return {"q": q, "a": a}, {"count": n}, {"cache_hit": cached}
 
@@ -344,7 +347,7 @@ def cmd_expsum(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     spec = ExpSumSpec(X=cfg.X, Y=Y, h=cfg.h, alpha=cfg.alpha, q=q, a=a)
-    table, cached = _table_for(cfg, Y)
+    table, cached = _table_for(cfg, cfg.X, Y)
     res = exp_sum_primes(spec, table=table)
     return ({"Y": Y, "q": q, "a": a},
             {"value": res.value, "abs": abs(res.value), "count": res.count,
@@ -358,7 +361,7 @@ def cmd_bv(args, cfg: RunConfig):
     if cfg.Q is None:
         raise ArgumentError("bv requires --Q")
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    table, cached = _table_for(cfg, cfg.X + 1)
+    table, cached = _table_for(cfg, 2, cfg.X + 1)
     report = bv_discrepancy(cfg.X, cfg.Q, win, table=table, moduli=args.moduli)
     body = emit_csv(
         "bv", {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
@@ -601,7 +604,9 @@ def cmd_selftest(args, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sp):
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config key (repeatable)")
@@ -611,6 +616,7 @@ def _add_common(sp):
     sp.add_argument("--cache", help="prime cache directory")
     sp.add_argument("--output", choices=("csv", "json"))
     sp.add_argument("--out", help="also write the artifact to this file")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,67 +627,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "integrals, and equidistribution statistics.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[_common_options()])
 
-    sp = sub.add_parser("sieve", help="count primes in a range")
+    sp = add_parser("sieve", help="count primes in a range")
     sp.add_argument("--lo", type=_integer)
     sp.add_argument("--hi", type=_integer)
-    _add_common(sp)
     sp.set_defaults(func=cmd_sieve)
 
-    sp = sub.add_parser("cache", help="build and store a prime cache")
+    sp = add_parser("cache", help="build and store a prime cache")
     sp.add_argument("--build", required=True, metavar="N",
                     help="sieve [2, N) and store it (accepts 1e6 notation)")
-    _add_common(sp)
     sp.set_defaults(func=cmd_cache)
 
-    sp = sub.add_parser("count", help="count primes with frac(p^alpha) in I")
-    _add_common(sp)
+    sp = add_parser("count", help="count primes with frac(p^alpha) in I")
     sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("expsum", help="exponential sum over primes")
+    sp = add_parser("expsum", help="exponential sum over primes")
     sp.add_argument("--Y", type=_integer, help="upper end (default 2X)")
-    _add_common(sp)
     sp.set_defaults(func=cmd_expsum)
 
-    sp = sub.add_parser("bv", help="discrepancy across moduli q <= Q")
+    sp = add_parser("bv", help="discrepancy across moduli q <= Q")
     sp.add_argument("--moduli", choices=("prime", "all"), default="prime")
-    _add_common(sp)
     sp.set_defaults(func=cmd_bv)
 
-    sp = sub.add_parser("decompose-check",
-                        help="von Mangoldt decomposition residuals")
+    sp = add_parser("decompose-check", help="von Mangoldt decomposition residuals")
     sp.add_argument("--nmax", type=_integer, default=3000)
     sp.add_argument("--k", type=_integer, default=5)
     sp.add_argument("--n", type=_integer, help="show the terms for a single n")
     sp.add_argument("--show", type=_integer, default=20)
-    _add_common(sp)
     sp.set_defaults(func=cmd_decompose_check)
 
-    sp = sub.add_parser("classify", help="Type I/II/III classification")
+    sp = add_parser("classify", help="Type I/II/III classification")
     sp.add_argument("--t", help="normalized exponents 't1,t2,...'")
     sp.add_argument("--sigma", type=_real)
     sp.add_argument("--dyadic", help="ten block sizes 'D1,...,D10'")
     sp.add_argument("--X1", type=_real)
     sp.add_argument("--Y1", type=_real)
     sp.add_argument("--eps1", type=_real, default=0.01)
-    _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("kloosterman", help="Kloosterman sums and Weil margins")
+    sp = add_parser("kloosterman", help="Kloosterman sums and Weil margins")
     sp.add_argument("--u", type=_integer, default=1)
     sp.add_argument("--v", type=_integer, default=1)
     sp.add_argument("--table", action="store_true",
                     help="full (u, v) table summary for the modulus")
-    _add_common(sp)
     sp.set_defaults(func=cmd_kloosterman)
 
-    sp = sub.add_parser("gauss", help="character Gauss sums")
+    sp = add_parser("gauss", help="character Gauss sums")
     sp.add_argument("--chi-index", type=_integer, default=1)
     sp.add_argument("--s", type=_integer, default=1)
-    _add_common(sp)
     sp.set_defaults(func=cmd_gauss)
 
-    sp = sub.add_parser("oscint", help="oscillatory integral evaluations")
+    sp = add_parser("oscint", help="oscillatory integral evaluations")
     sp.add_argument("--phase", choices=("first", "second", "gaussian"),
                     default="gaussian")
     sp.add_argument("--method", choices=("quad", "bound", "expansion", "both"),
@@ -698,15 +695,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--J", help="integration range 'a,b' (default support)")
     sp.add_argument("--n-terms", type=_integer, default=1)
     sp.add_argument("--tol", type=_real, default=1e-9)
-    _add_common(sp)
     sp.set_defaults(func=cmd_oscint)
 
-    sp = sub.add_parser("level", help="level of distribution for alpha")
-    _add_common(sp)
+    sp = add_parser("level", help="level of distribution for alpha")
     sp.set_defaults(func=cmd_level)
 
-    sp = sub.add_parser("selftest", help="fast end-to-end sanity checks")
-    _add_common(sp)
+    sp = add_parser("selftest", help="fast end-to-end sanity checks")
     sp.set_defaults(func=cmd_selftest)
     return p
 

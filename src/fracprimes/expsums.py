@@ -169,9 +169,6 @@ class FracWindow:
         if not (0.0 < self.alpha < 1.0):
             raise ArgumentError(f"need alpha in (0,1), got {self.alpha}")
 
-    def contains(self, n: int) -> bool:
-        return bool(self.mask(np.array([int(n)]))[0])
-
     def mask(self, ns: np.ndarray) -> np.ndarray:
         f = reduced_phase_array(1, ns, self.alpha)
         return (f >= self.c) & (f < self.d)
@@ -238,7 +235,7 @@ class WeightedSumResult(NamedTuple):
 def _primes_for_range(lo: int, hi: int, table=None) -> np.ndarray:
     if table is not None and table.lo <= lo and table.hi >= hi:
         ps = table.primes()
-        return ps[(ps >= lo) & (ps < hi)]
+        return ps[np.searchsorted(ps, lo):np.searchsorted(ps, hi)]
     return sieve_primes(lo, hi).primes()
 
 

@@ -323,6 +323,12 @@ def count_pi_I_brute(X, q, a, alpha, c, d, primes) -> int:
     return n
 
 
+def window_contains(win, n: int) -> bool:
+    """Whether frac(n^alpha) lies in the FracWindow win, for one integer n
+    through the window's own array mask."""
+    return bool(win.mask(np.array([int(n)]))[0])
+
+
 def bv_total_brute(X, Q, alpha, c, d, primes, moduli="all") -> float:
     """Naive per-(q,a) recount of the discrepancy total.
 

@@ -78,6 +78,37 @@ def test_load_sieve_rejects_truncated_file(tmp_path, size):
         load_sieve(str(path))
 
 
+@pytest.mark.parametrize("t_lo", [2, 501])
+@pytest.mark.parametrize("lo_off, hi_off", [
+    (80, 800), (79, 801), (81, 799),       # byte edges, one off each edge
+    (0, 500), (5000, None), (0, None),     # the header's lo, the header's hi
+    (83, 86), (-1, None)])                 # inside one byte, the last flag
+def test_load_sieve_range_matches_whole_file(tmp_path, t_lo, lo_off, hi_off):
+    t_hi = 10_003          # 9_502 or 10_001 flags: the last byte is partial
+    path = str(tmp_path / "primes_10003.fpl")
+    save_sieve(sieve_primes(t_lo, t_hi), path)
+    lo = t_lo + lo_off if lo_off >= 0 else t_hi + lo_off
+    hi = t_hi if hi_off is None else t_lo + hi_off
+    whole = load_sieve(path).primes()
+    part = load_sieve(path, lo, hi)
+    # only the bytes that hold [lo, hi) are read
+    assert part.lo <= lo and (part.lo - t_lo) % 8 == 0 and lo - part.lo < 8
+    assert part.hi >= hi and (part.hi == t_hi or (part.hi - t_lo) % 8 == 0)
+    assert part.hi - hi < 8 and len(part.is_prime) == part.hi - part.lo
+    ps = part.primes()
+    assert np.array_equal(ps[(ps >= lo) & (ps < hi)],
+                          whole[(whole >= lo) & (whole < hi)])
+
+
+def test_range_read_detects_a_file_short_by_its_last_byte(tmp_path):
+    path = tmp_path / "primes_10000.fpl"
+    save_sieve(sieve_primes(2, 10_000), str(path))
+    path.write_bytes(path.read_bytes()[:-1])
+    for lo, hi in ((2, 10), (2, 100), (90, 200), (None, None)):
+        with pytest.raises(ArgumentError, match="truncated"):
+            load_sieve(str(path), lo, hi)
+
+
 def test_factor_reconstructs_and_is_sorted():
     for n in (2, 60, 97, 1024, 123456):
         f = factor(n)

@@ -343,6 +343,23 @@ def test_cache_header_must_cover_the_range(tmp_path, monkeypatch, capsys):
     assert record_from_json(out).values["count"] == rec.values["count"]
 
 
+def test_uncached_expsum_sieves_only_its_range(tmp_path, monkeypatch, capsys):
+    asked = []
+
+    def spy(lo, hi):
+        asked.append((lo, hi))
+        return sieve_primes(lo, hi)
+
+    monkeypatch.setattr(cli, "sieve_primes", spy)
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path / "empty"))
+    code, out, _ = run_cli(capsys, ["expsum", "--X", "1000", "--Y", "2000",
+                                    "--output", "json"])
+    assert code == 0 and asked == [(1000, 2000)]
+    assert record_from_json(out).invariant_flags["cache_hit"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "56eca2c75a569bf5ee3f4336c657c9726fc766cc2458dada5b61bf051de8a47f")
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "sub" / "level.txt"
     code, out, _ = run_cli(capsys, ["level", "--alpha", "0.1", "--out",
