@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""One-term stationary-phase error against adaptive quadrature.
+"""Stationary-phase error against adaptive quadrature.
 
 Sweeps the Gaussian-phase family g(t) = -Y (t - t0)^2 over a geometric Y
-ladder and reports the relative error of the one-term expansion versus the
-quadrature value.  The error should shrink like 1/Y once the stationary
-point sits inside the window plateau.
+ladder and reports the relative error of the --terms-term expansion versus
+the quadrature value.  The one-term error should shrink like 1/Y once the
+stationary point sits inside the window plateau.
 
     python3 scripts/expansion_error_sweep.py --ymin 25 --ymax 1600 --points 7
 """
@@ -40,12 +40,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
-    W = window_from_bump(make_bump(args.y, args.delta))
+    bump = make_bump(args.y, args.delta)
+    W = window_from_bump(bump)
     ys = np.geomspace(args.ymin, args.ymax, args.points)
     rows = []
     for Y in ys:
         g = gaussian_phase(float(Y), args.t0)
-        ex = stationary_expand(W, g, n_terms=args.terms)
+        ex = stationary_expand(bump, g, n_terms=args.terms)
         qd = quad_osc(W, g, tol=args.tol)
         rel = abs(ex.value - qd.value) / abs(qd.value)
         rows.append((float(Y), qd.value.real, qd.value.imag,

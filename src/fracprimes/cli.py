@@ -488,7 +488,7 @@ def cmd_oscint(args, cfg: RunConfig):
         values["quad_nodes"] = res.terms_used
     if args.method in ("expansion", "both"):
         try:
-            res = stationary_expand(w, phase, n_terms=args.n_terms, J=J)
+            res = stationary_expand(bump, phase, n_terms=args.n_terms, J=J)
         except StationaryPointError:
             if args.method == "expansion":
                 raise
@@ -574,7 +574,7 @@ def cmd_selftest(args, cfg: RunConfig):
     w = window_from_bump(bump)
     ph = gaussian_phase(200.0, 1.5)
     quad = quad_osc(w, ph, (0.7, 2.3), tol=1e-11)
-    expn = stationary_expand(w, ph, n_terms=1, J=(0.7, 2.3))
+    expn = stationary_expand(bump, ph, n_terms=1, J=(0.7, 2.3))
     rel = abs(quad.value - expn.value) / abs(quad.value)
     checks.append(("stationary-phase", rel <= 1e-3, f"rel={rel:.3e}"))
 

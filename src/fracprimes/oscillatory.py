@@ -15,8 +15,9 @@ Four layers, bottom up:
   stationary point from the closed form every phase carries, plus the
   truncated asymptotic expansion  e(g(t0)) / |g''|^{1/2} * sum_n p_n  with
   p_n = e^{-i pi/4} / n! * (4 pi i)^{-n} |g''|^{-n} G^{(2n)}(t0)
-  (the e(x) = e^{2 pi i x} convention; G = w * e(H), H the phase minus its
-  second-order jet at t0).
+  (the e(x) = e^{2 pi i x} convention; G = psi * e(H), psi the bump, H the
+  phase minus its second-order jet at t0), G's Taylor jet being the bump's
+  (`smoothing.bump_jet`) times the series of e(H) from g's derivatives.
 * `poisson_verify_first` / `poisson_verify_second` — both finite-vs-integral
   identities obtained by Poisson summation on a character-twisted smooth
   sum, each side computed independently.
@@ -38,8 +39,8 @@ from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
 from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, unit_phases
-from .smoothing import (BumpWindow, eval_bump, eval_member, make_partition,
-                        richardson_derivative)
+from .smoothing import (JET_ORDER, BumpWindow, bump_jet, eval_bump,
+                        eval_member, make_partition, series_exp, series_mul)
 
 _SQRT_GL = 15
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_SQRT_GL)
@@ -95,7 +96,7 @@ def window_from_bump(w: BumpWindow) -> WindowModel:
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Phase g with exact derivatives g^(k), k = 1..4.
+    """Phase g with exact derivatives g^(k), k = 1..6.
 
     params only records the constructor's arguments; evaluation never reads
     it.  closed() returns (t0, g(t0), g''(t0)) at the zero of g', or raises
@@ -111,8 +112,8 @@ class PhaseModel:
         return self._g(np.asarray(t, dtype=float))
 
     def dg(self, t, order: int = 1):
-        if not 1 <= order <= 4:
-            raise ArgumentError(f"derivative order {order} not in [1, 4]")
+        if not 1 <= order <= 6:
+            raise ArgumentError(f"derivative order {order} not in [1, 6]")
         return self._dg(np.asarray(t, dtype=float), order)
 
 
@@ -432,21 +433,23 @@ def stationary_values(g: PhaseModel, window=None) -> tuple[float, float]:
     return g.closed()[1:]
 
 
-def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
+def stationary_expand(w: BumpWindow, g: PhaseModel, n_terms: int = 1,
                       J=None) -> OscIntegralResult:
-    """Truncated stationary-phase value of int w e(g) around the unique
-    interior stationary point.
+    """Truncated stationary-phase value of int psi e(g) around the unique
+    interior stationary point, psi the bump w.
 
     value = e(g(t0)) |g''|^{-1/2} sum_{n < n_terms} p_n,
     p_n = e^{-i pi/4}/n! (4 pi i)^{-n} |g''|^{-n} G^{(2n)}(t0),
-    G = w e(H), H = g - g(t0) - g''(t0)(t-t0)^2/2.
+    G = psi e(H), H = g - g(t0) - g''(t0)(t-t0)^2/2.
 
-    G-derivatives by Richardson central differences; the reported
-    error_estimate is the magnitude of the first omitted term.
+    G^{(2n)}(t0) = (2n)! c_{2n} is exact up to rounding: c is the product of
+    the bump's Taylor jet and the series of e(H), whose coefficients come
+    from g's exact derivatives.  The reported error_estimate is the
+    magnitude of the first omitted term.
     """
     if not 1 <= n_terms <= 3:
         raise ArgumentError(f"n_terms must be 1..3, got {n_terms}")
-    a, b = _window(w, J)
+    a, b = _window(window_from_bump(w), J)
     t0 = stationary_point(g, (a, b))
     g0, g2 = stationary_values(g, (a, b))
     if g2 >= 0:
@@ -454,21 +457,14 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
                             "the phase otherwise)")
     ag2 = abs(g2)
 
-    g3 = abs(float(np.real(g.dg(t0, 3))))
-    scale2 = 0.3 / math.sqrt(ag2)
-    scale3 = (0.05 / (2 * math.pi * g3)) ** (1 / 3) if g3 > 0 else np.inf
-    step = min(0.02 * (b - a), scale2, scale3)
-
-    def H(t):
-        return np.asarray(g.g(t), dtype=float) - g0 - 0.5 * g2 * (t - t0) ** 2
-
-    def G(t):
-        return w(t) * np.exp(2j * np.pi * H(t))
-
+    H = [float(g.g(t0)) - g0, float(g.dg(t0, 1)),
+         (float(g.dg(t0, 2)) - g2) / 2]
+    H += [float(g.dg(t0, k)) / math.factorial(k)
+          for k in range(3, JET_ORDER + 1)]
+    G = series_mul(bump_jet(w, t0), series_exp([2j * np.pi * c for c in H]))
     # G^{(2n)}(t0) for n <= n_terms: one extra term for the estimate
-    phases = [complex(G(np.asarray(t0)))]
-    phases += [complex(richardson_derivative(G, t0, 2 * nn, step))
-               for nn in range(1, n_terms + 1)]
+    phases = [complex(math.factorial(2 * nn) * G[2 * nn])
+              for nn in range(n_terms + 1)]
 
     pre = np.exp(-1j * np.pi / 4)
     terms = []
@@ -483,18 +479,6 @@ def stationary_expand(w: WindowModel, g: PhaseModel, n_terms: int = 1,
     return OscIntegralResult(value=complex(value),
                              error_estimate=float(nxt / math.sqrt(ag2)),
                              terms_used=n_terms)
-
-
-def phase_jet_derivatives(H1: float, H2: float, H3: float, H4: float):
-    """Derivatives of e(H) at a point where H = 0, orders 1..4, via the
-    composition (Bell polynomial) formula with z = 2 pi i."""
-    z = 2j * np.pi
-    d1 = z * H1
-    d2 = z * H2 + z ** 2 * H1 ** 2
-    d3 = z * H3 + 3 * z ** 2 * H1 * H2 + z ** 3 * H1 ** 3
-    d4 = (z * H4 + z ** 2 * (4 * H1 * H3 + 3 * H2 ** 2)
-          + 6 * z ** 3 * H1 ** 2 * H2 + z ** 4 * H1 ** 4)
-    return d1, d2, d3, d4
 
 
 # ---------------------------------------------------------------------------

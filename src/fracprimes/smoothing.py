@@ -145,50 +145,64 @@ def partition_sum(p: DyadicPartition, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numerical derivatives (Richardson-extrapolated central differences)
+# Taylor jets: truncated power series, coefficient lists c_0..c_n of
+# f(x + h) = sum c_k h^k + O(h^{n+1})
 
-# central stencils of second-order accuracy; offsets symmetric around 0
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-    5: ((-3, -2, -1, 1, 2, 3), (-0.5, 2.0, -2.5, 2.5, -2.0, 0.5)),
-    6: ((-3, -2, -1, 0, 1, 2, 3), (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)),
-}
+JET_ORDER = 6
 
 
-def richardson_derivative(fn, x: float, order: int, h0: float) -> float | complex:
-    """order-th derivative of fn at x by central differences on steps
-    h0, h0/2, h0/4 with Richardson extrapolation across the three levels.
+def series_mul(a, b):
+    """Truncated product of two series of equal length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
-    fn may be real- or complex-valued; a result with zero imaginary part
-    comes back as a float.
+
+def series_div(a, b):
+    """Truncated quotient a / b of two series of equal length, b[0] != 0."""
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - sum(q[i] * b[k - i] for i in range(k))) / b[0])
+    return q
+
+
+def series_exp(a):
+    """Truncated exp(a), real or complex, from (exp a)' = a' exp a:
+    k e_k = sum_{j=1..k} j a_j e_{k-j}."""
+    e = [np.exp(a[0])]
+    for k in range(1, len(a)):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+def _soft_exp_series(t: float):
+    """soft_exp(t + h) to order JET_ORDER in h, from
+    -1/(t + h) = sum r^{k+1} h^k with r = -1/t."""
+    # zero where t <= 0 or exp(-1/t) underflows; the latter also keeps
+    # r^{k+1} from overflowing into inf * 0
+    if t <= 0.0 or math.exp(-1.0 / t) == 0.0:
+        return [0.0] * (JET_ORDER + 1)
+    r = -1.0 / t
+    return series_exp([r ** (k + 1) for k in range(JET_ORDER + 1)])
+
+
+def bump_jet(w: BumpWindow, x: float) -> list:
+    """Taylor coefficients c_0..c_6 of psi at x, so psi^(k)(x) = k! c_k.
+
+    On an edge, psi = S(u) with u = (x - (1 - delta)) / delta rising or
+    u = (y + delta - x) / delta falling, S = f(u) / (f(u) + f(1 - u)) and
+    f = exp(-1/t); S's series in u picks up the chain factor (+-1/delta)^k.
+    Elsewhere psi is locally constant.  c_0 is eval_bump(w, x).
     """
-    if order == 0:
-        val = complex(fn(x))
+    jet = [eval_bump(w, x)] + [0.0] * JET_ORDER
+    lo, hi = w.support
+    if lo < x < 1.0:
+        u, chain = (x - lo) / w.delta, 1.0 / w.delta
+    elif w.y < x < hi:
+        u, chain = (hi - x) / w.delta, -1.0 / w.delta
     else:
-        offs, coefs = _STENCILS[order]
-        ests = []
-        h = h0
-        for _ in range(3):
-            val = sum(c * complex(fn(x + o * h)) for o, c in zip(offs, coefs))
-            ests.append(val / h ** order)
-            h /= 2.0
-        # each halving gains a factor 4 in the h^2 error term
-        fac = 4.0
-        while len(ests) > 1:
-            ests = [(fac * b - a) / (fac - 1.0) for a, b in zip(ests, ests[1:])]
-            fac *= 4.0
-        val = ests[0]
-    return val if abs(val.imag) > 0 else val.real
-
-
-def window_derivative(w: BumpWindow, j: int, x: float) -> float:
-    """j-th derivative of the bump at x, j <= 6 (numerical, first step delta/32)."""
-    if not (0 <= j <= 6):
-        raise ArgumentError(f"derivative order {j} unsupported (need 0 <= j <= 6)")
-    if j == 0:
-        return eval_bump(w, float(x))
-    return richardson_derivative(lambda t: eval_bump(w, t), float(x), j,
-                                 w.delta / 32.0)
+        return jet
+    fu = _soft_exp_series(u)
+    # f(1 - u - h) is f(s + h') at s = 1 - u, h' = -h: flip the odd terms
+    fs = [c * (-1) ** k for k, c in enumerate(_soft_exp_series(1.0 - u))]
+    S = series_div(fu, [a + b for a, b in zip(fu, fs)])
+    jet[1:] = [float(S[k]) * chain ** k for k in range(1, JET_ORDER + 1)]
+    return jet

@@ -448,34 +448,65 @@ def reduced_phase_oracle(h, n, alpha, shift=0.0) -> float:
             int(n) + mpmath.mpf(shift), alpha)))
 
 
+def _bump_mp(y, delta):
+    """psi at the working precision: exp(-1/t) smoothstep edges, plateau
+    [1, y], support (1 - delta, y + delta)."""
+    def f(t):
+        return mpmath.e ** (-1 / t) if t > 0 else mpmath.mpf(0)
+
+    def S(t):
+        if t <= 0:
+            return mpmath.mpf(0)
+        if t >= 1:
+            return mpmath.mpf(1)
+        return f(t) / (f(t) + f(1 - t))
+
+    def psi(t):
+        t = mpmath.mpf(t)
+        if t <= 1 - delta or t >= y + delta:
+            return mpmath.mpf(0)
+        if t < 1:
+            return S((t - (1 - delta)) / delta)
+        if t <= y:
+            return mpmath.mpf(1)
+        return S((y + delta - t) / delta)
+
+    return psi
+
+
 def bump_oracle(y, delta, x, j=0, dps=40) -> float:
-    """High-precision bump value/derivative: exp(-1/t) smoothstep edges,
-    plateau [1, y], support (1 - delta, y + delta)."""
+    """High-precision bump value/derivative.  mpmath.diff picks its own step
+    and raises the working precision to match, so the result is good to
+    about dps digits."""
     with mpmath.workdps(dps):
-        def f(t):
-            return mpmath.e ** (-1 / t) if t > 0 else mpmath.mpf(0)
-
-        def S(t):
-            if t <= 0:
-                return mpmath.mpf(0)
-            if t >= 1:
-                return mpmath.mpf(1)
-            return f(t) / (f(t) + f(1 - t))
-
-        def psi(t):
-            t = mpmath.mpf(t)
-            if t <= 1 - delta or t >= y + delta:
-                return mpmath.mpf(0)
-            if t < 1:
-                return S((t - (1 - delta)) / delta)
-            if t <= y:
-                return mpmath.mpf(1)
-            return S((y + delta - t) / delta)
-
+        psi = _bump_mp(y, delta)
         if j == 0:
             return float(psi(x))
-        return float(mpmath.diff(psi, mpmath.mpf(x), j, relative=False,
-                                 h=mpmath.mpf("1e-6")))
+        return float(mpmath.diff(psi, mpmath.mpf(x), j))
+
+
+def stationary_expand_oracle(y, delta, g_mp, t0, g0, g2, n_terms, dps=60):
+    """stationary_expand's (value, error_estimate) for the bump (y, delta),
+    written out term by term with G^(2n)(t0) from mpmath.diff at dps digits:
+    G = psi e(H), H = g - g0 - g2 (t - t0)^2 / 2, and g_mp(t) the phase at
+    the working precision."""
+    with mpmath.workdps(dps):
+        psi = _bump_mp(y, delta)
+
+        def G(t):
+            H = g_mp(t) - g0 - mpmath.mpf(g2) / 2 * (t - t0) ** 2
+            return psi(t) * mpmath.expjpi(2 * H)
+
+        derivs = [complex(mpmath.diff(G, mpmath.mpf(t0), 2 * n))
+                  for n in range(n_terms + 1)]
+        lead = complex(mpmath.expjpi(2 * mpmath.mpf(g0) - mpmath.mpf(1) / 4))
+    ag2 = abs(g2)
+
+    def term(n):
+        return derivs[n] / (math.factorial(n) * (4j * math.pi * ag2) ** n)
+
+    value = lead / math.sqrt(ag2) * sum(term(n) for n in range(n_terms))
+    return value, abs(term(n_terms)) / math.sqrt(ag2)
 
 
 def tail_beyond_loop(sm: int, num, den, lead_peak, q, bound) -> float:

@@ -351,11 +351,12 @@ def test_criterion_6(capsys):
 #    plus the closed-form stationary point at t0 = 2.25
 
 def _criterion_7(threads: int):
-    W = window_from_bump(make_bump(2.0, 0.2))
+    bump = make_bump(2.0, 0.2)
+    W = window_from_bump(bump)
 
     def per_Y(Y):
         g = gaussian_phase(Y, 1.5)
-        ex = stationary_expand(W, g, n_terms=1)
+        ex = stationary_expand(bump, g, n_terms=1)
         qd = quad_osc(W, g, tol=1e-10)
         return Y, abs(ex.value - qd.value) / abs(qd.value)
 

@@ -14,14 +14,13 @@ from fracprimes.oscillatory import (PhaseModel, WindowModel,
                                     alpha_constants, gaussian_phase,
                                     make_first_phase,
                                     make_second_phase, nonstationary_bound,
-                                    phase_jet_derivatives,
                                     poisson_verify_first,
                                     poisson_verify_second, quad_osc,
                                     second_change_of_variables_check,
                                     stationary_expand, stationary_point,
                                     stationary_values, truncation_windows,
                                     window_from_bump)
-from fracprimes.smoothing import BumpWindow, eval_bump
+from fracprimes.smoothing import BumpWindow, eval_bump, series_exp
 
 import oracles
 from test_acceptance import _poisson_check_args, _poisson_grid
@@ -109,11 +108,6 @@ def test_stationary_point_at_zero():
     # the residual check scales with |t0|; the closed form has g'(0) = 0
     g = gaussian_phase(200.0, 0.0)
     assert stationary_point(g, (-1.0, 1.3)) == 0.0
-    shifted = WindowModel(fn=lambda t: eval_bump(BUMP, t + 1.5),
-                          lo=-0.7, hi=0.7)
-    got = stationary_expand(shifted, g, n_terms=2)
-    want = stationary_expand(W, gaussian_phase(200.0, 1.5), n_terms=2)
-    assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
 
 
 def test_stationary_point_errors():
@@ -251,7 +245,7 @@ def test_reversed_or_empty_J_is_an_argument_error(J):
     with pytest.raises(ArgumentError, match="J"):
         quad_osc(W, g, J)
     with pytest.raises(ArgumentError, match="J"):
-        stationary_expand(W, g, J=J)
+        stationary_expand(BUMP, g, J=J)
 
 
 def test_non_finite_phase_is_an_argument_error():
@@ -286,7 +280,7 @@ def test_quad_memory_is_bounded():
 def test_expand_gaussian_leading_term():
     for Y in (50.0, 200.0, 800.0):
         g = gaussian_phase(Y=Y, t0=1.5)
-        lead = stationary_expand(W, g, n_terms=1)
+        lead = stationary_expand(BUMP, g, n_terms=1)
         want = eval_bump(BUMP, 1.5) * cmath.exp(-1j * math.pi / 4) / math.sqrt(Y)
         assert abs(lead.value - want) <= 1e-12
         quad = quad_osc(W, g, tol=1e-11)
@@ -299,7 +293,7 @@ def test_expand_gaussian_scaled_error_decreasing():
     scaled = []
     for Y in (50.0, 200.0, 800.0):
         g = gaussian_phase(Y=Y, t0=1.5)
-        lead = stationary_expand(W, g, n_terms=1)
+        lead = stationary_expand(BUMP, g, n_terms=1)
         quad = quad_osc(W, g, tol=1e-11)
         scaled.append(abs(lead.value - quad.value) * math.sqrt(Y))
     assert scaled[0] < 0.05
@@ -317,8 +311,8 @@ def test_expand_correction_shrinks_with_scale():
         s = alpha * h * q * u * m * n / (t0 * X) ** (1 - alpha)
         g = make_first_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m, n=n, s=s)
         assert abs(stationary_point(g) - t0) < 1e-9
-        one = stationary_expand(W, g, n_terms=1)
-        two = stationary_expand(W, g, n_terms=2)
+        one = stationary_expand(BUMP, g, n_terms=1)
+        two = stationary_expand(BUMP, g, n_terms=2)
         ratios.append(abs(two.value - one.value) / abs(one.value))
     assert ratios[1] < 0.5 * ratios[0]
 
@@ -344,29 +338,75 @@ def test_expand_positive_curvature_rejected():
                           lambda t: np.full_like(t, 200.0)),
                    lambda: (1.5, 0.0, 200.0))
     with pytest.raises(ArgumentError, match="conjugate"):
-        stationary_expand(W, g, n_terms=1)
+        stationary_expand(BUMP, g, n_terms=1)
 
 
 def test_expand_too_many_terms_rejected():
     g = gaussian_phase(Y=200.0, t0=1.5)
     with pytest.raises(ArgumentError):
-        stationary_expand(W, g, n_terms=4)
+        stationary_expand(BUMP, g, n_terms=4)
+
+
+def _gaussian_case(Y, t0):
+    """The phase and the same phase at mpmath's working precision."""
+    return gaussian_phase(Y, t0), lambda t: -Y * (t - t0) ** 2 / 2
+
+
+def _first_kind_case(h, X, alpha, q):
+    g = make_first_phase(h=h, X=X, alpha=alpha, q=q, u=1, m=1, n=1, s=1)
+    return g, lambda t: h * (X * t) ** mpmath.mpf(alpha) - X * t / q
+
+
+def _sextic_case(Y, t0, a):
+    """g = -Y (t - t0)^2 / 2 + sum_k a_k (t - t0)^k over k = 3..6."""
+    a = {2: -Y / 2, **a}
+
+    def dg(t, order):
+        return sum(c * math.perm(k, order) * (t - t0) ** (k - order)
+                   for k, c in a.items() if k >= order)
+
+    def g_mp(t):
+        return sum(c * (t - t0) ** k for k, c in a.items())
+
+    return PhaseModel({}, g_mp, dg, lambda: (t0, 0.0, -Y)), g_mp
+
+
+@pytest.mark.parametrize("case, rel", [
+    (_gaussian_case(50.0, 0.95), 1e-10),                # rising edge
+    (_gaussian_case(200.0, 2.07), 1e-10),               # falling edge
+    (_first_kind_case(151_700, 100_000, 0.1, 3), 1e-8),   # plateau, 1.4986
+    # u = 1/2, where psi's even coefficients vanish, so H_3..H_6 each move
+    # |G^(6)(t0)| at first order
+    (_sextic_case(100.0, 0.9, {3: 3.0, 4: -2.0, 5: 5.0, 6: -7.0}), 1e-10)])
+def test_expand_matches_mpmath_jets(case, rel):
+    # the three-term value and its error estimate, against the same formula
+    # fed G^(2n)(t0) from 60-digit numerical differentiation
+    g, g_mp = case
+    t0, g0, g2 = g.closed()
+    got = stationary_expand(BUMP, g, n_terms=3)
+    value, err = oracles.stationary_expand_oracle(
+        BUMP.y, BUMP.delta, g_mp, t0, g0, g2, n_terms=3)
+    assert abs(got.value - value) <= rel * abs(value)
+    assert abs(got.error_estimate - err) <= rel * err
 
 
 # ---------------------------------------------------------------------------
-# Faa di Bruno jet
+# Taylor jet of e(H)
 
 def test_phase_jet_matches_mpmath_derivatives():
-    # H(t) = sin(t - c) has H(c) = 0, H'(c) = 1, H''(c) = 0, H'''(c) = -1
+    # H(t) = sin(t - c): its Taylor coefficients at c are 0, 1, 0, -1/6, 0,
+    # 1/120, 0
     c = 0.7
-    jet = phase_jet_derivatives(1.0, 0.0, -1.0, 0.0)
+    H = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0]
+    jet = series_exp([2j * math.pi * h for h in H])
 
     def F(t):
         return mpmath.e ** (2j * mpmath.pi * mpmath.sin(t - c))
 
-    for order, got in enumerate(jet, start=1):
-        want = complex(mpmath.diff(F, c, order, h=1e-4))
-        assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
+    for order in range(1, 7):
+        got = math.factorial(order) * jet[order]
+        want = complex(mpmath.diff(F, c, order))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,19 @@ def test_theorem_ratio_sweep(tmp_path):
 
 
 def test_expansion_error_sweep(tmp_path):
-    out = tmp_path / "expansion.csv"
-    assert load("expansion_error_sweep").main(
-        ["--points", "2", "--out", str(out)]) == 0
-    lines = csv_lines(out)
-    assert lines[:8] == [
-        "# command=oscint-sweep", f"# version={__version__}", "# delta=0.2",
-        "# t0=1.5", "# terms=1", "# tol=1e-10", "# y=2.0",
-        "Y,quad_re,quad_im,exp_re,exp_im,rel_error"]
-    assert [ln.split(",")[0] for ln in lines[8:]] == ["25.0", "1600.0"]
+    # the defaults, then three terms at a t0 on the rising edge, which take
+    # the bump's Taylor jet
+    for extra, t0, terms in (([], "1.5", "1"),
+                             (["--t0", "0.95", "--terms", "3"], "0.95", "3")):
+        out = tmp_path / f"expansion_{terms}.csv"
+        assert load("expansion_error_sweep").main(
+            ["--points", "2", *extra, "--out", str(out)]) == 0
+        lines = csv_lines(out)
+        assert lines[:8] == [
+            "# command=oscint-sweep", f"# version={__version__}",
+            "# delta=0.2", f"# t0={t0}", f"# terms={terms}", "# tol=1e-10",
+            "# y=2.0", "Y,quad_re,quad_im,exp_re,exp_im,rel_error"]
+        assert [ln.split(",")[0] for ln in lines[8:]] == ["25.0", "1600.0"]
 
 
 def test_bv_trend_with_detail(tmp_path):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracprimes.errors import ArgumentError
-from fracprimes.smoothing import (eval_bump, eval_member, make_bump,
-                                  make_partition, master_window,
-                                  partition_sum, richardson_derivative,
-                                  smoothstep, window_derivative)
+from fracprimes.smoothing import (bump_jet, eval_bump, eval_member,
+                                  make_bump, make_partition, master_window,
+                                  partition_sum, smoothstep)
 
 import oracles
 
@@ -114,54 +112,37 @@ def test_bump_values_match_oracle():
                    - oracles.bump_oracle(2.0, 0.2, x)) <= 1e-12
 
 
+def _derivatives(w, x):
+    """psi^(j)(x), j = 0..6, from the bump's Taylor jet."""
+    return [math.factorial(j) * c for j, c in enumerate(bump_jet(w, x))]
+
+
 def test_window_derivative_matches_oracle():
+    # both edges, u = 1/2 at x = 0.9 and 2.1 (where the even derivatives
+    # vanish, so the bound has an absolute floor j!/delta^j), the plateau
     w = make_bump(2.0, 0.2)
-    for j in (1, 2, 4):
-        for x in (0.87, 0.93, 1.95, 2.04):
-            direct = window_derivative(w, j, x)
+    for x in (0.81, 0.82, 0.87, 0.9, 0.93, 0.999, 1.5, 1.95, 2.04, 2.1, 2.19):
+        got = _derivatives(w, x)
+        assert got[0] == eval_bump(w, x)
+        for j in range(1, 7):
             ref = oracles.bump_oracle(2.0, 0.2, x, j)
-            assert abs(direct - ref) <= 1e-5 * max(1.0, abs(ref))
-    # order 6 runs into the mollifier's factorial derivative growth; only
-    # magnitude-level accuracy is achievable (and needed) there
-    for x in (0.87, 2.04):
-        direct = window_derivative(w, 6, x)
-        ref = oracles.bump_oracle(2.0, 0.2, x, 6)
-        assert abs(direct - ref) <= 1e-3 * max(1.0, abs(ref))
-
-
-def test_richardson_derivative_complex_fn():
-    # d^k/dx^k e(x) = (2 pi i)^k e(x) with e(x) = exp(2 pi i x)
-    def e(x):
-        return cmath.exp(2j * math.pi * x)
-
-    for k in range(1, 5):
-        for x in (0.3, 1.7):
-            got = richardson_derivative(e, x, k, 0.02)
-            want = (2j * math.pi) ** k * e(x)
-            assert isinstance(got, complex)
-            assert abs(got - want) <= 1e-8 * abs(want)
-    # a real fn still gives a Python float
-    got = richardson_derivative(math.sin, 0.3, 2, 0.02)
-    assert type(got) is float
-    assert abs(got + math.sin(0.3)) <= 1e-9
+            floor = math.factorial(j) / w.delta ** j
+            assert abs(got[j] - ref) <= 1e-12 * max(abs(ref), floor), (x, j)
 
 
 def test_window_derivative_growth_documented():
     # derivative sup norms grow no faster than (C j^2 / delta)^j
     w = make_bump(2.0, 0.2)
     xs = np.linspace(0.8, 2.2, 561)
-    sup = []
-    for j in range(1, 5):
-        sup.append(max(abs(window_derivative(w, j, float(x))) for x in xs))
-    for j, s in enumerate(sup, start=1):
-        assert s <= (40.0 * j * j / w.delta) ** j
+    sup = np.max(np.abs([_derivatives(w, float(x)) for x in xs]), axis=0)
+    for j in range(1, 7):
+        assert sup[j] <= (40.0 * j * j / w.delta) ** j
 
 
 def test_derivatives_vanish_outside_support():
     w = make_bump(2.0, 0.2)
-    for x in (0.7, 2.5):
-        for j in (1, 2, 3):
-            assert window_derivative(w, j, x) == 0.0
+    for x in (0.7, 0.8, 2.2, 2.5):
+        assert bump_jet(w, x) == [0.0] * 7
 
 
 def test_partition_members_cover_every_point():
