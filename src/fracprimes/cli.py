@@ -42,7 +42,7 @@ from .expsums import (ExpSumSpec, FracWindow, bv_discrepancy, count_pi_I,
 from .oscillatory import (alpha_constants, gaussian_phase, make_first_phase,
                           make_second_phase, nonstationary_bound,
                           poisson_verify_first, quad_osc, stationary_expand,
-                          window_from_bump)
+                          stationary_point, window_from_bump)
 from .smoothing import make_bump, make_partition, partition_sum
 
 _DEFAULT_CONSTANTS = {"C": 5.0, "A_I": 8.0}
@@ -498,11 +498,15 @@ def cmd_oscint(args, cfg: RunConfig):
             values["expansion_error_estimate"] = res.error_estimate
             values["expansion_terms"] = res.terms_used
     if args.method == "bound":
-        grid = np.linspace(J[0], J[1], 513)
-        r = float(np.min(np.abs(phase.dg(grid, 1))))
-        if r <= 0:
+        try:
+            stationary_point(phase, J)
+        except StationaryPointError:
+            pass   # none in J: |g'| > 0 there
+        else:
             raise ArgumentError("phase has a stationary point in J; "
                                 "the tail bound needs |g'| > 0")
+        grid = np.linspace(J[0], J[1], 513)
+        r = float(np.min(np.abs(phase.dg(grid, 1))))
         y_i = max(float(np.max(np.abs(phase.dg(grid, 2)))), 1.0)
         x_i = float(np.max(np.abs(w(grid))))
         values["bound"] = nonstationary_bound(

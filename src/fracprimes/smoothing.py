@@ -40,6 +40,15 @@ def smoothstep(t):
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
 
 
+def smoothstep_derivative(t):
+    """S'(t) = f(t) f(1-t) (t^-2 + (1-t)^-2) / (f(t) + f(1-t))^2, from
+    f'(t) = f(t) / t^2; 0 where f(t) or f(1-t) is 0 (or underflows)."""
+    t = np.asarray(t, dtype=float)
+    a, b = soft_exp(t), soft_exp(1.0 - t)
+    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
+    return a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
+
+
 @dataclass(frozen=True)
 class BumpWindow:
     """Smooth cutoff: 1 on [1, y], 0 outside [1-delta, y+delta]."""

@@ -2,8 +2,7 @@
 
 Everything in here favors directness over speed: trial division, explicit
 double loops, mpmath quadrature.  Test modules compare the library against
-these; nothing in here imports from fracprimes except the error-free
-dataclasses needed to describe inputs.
+these; nothing in here imports from fracprimes except its error types.
 """
 from __future__ import annotations
 
@@ -14,6 +13,8 @@ from itertools import product
 
 import mpmath
 import numpy as np
+
+from fracprimes.errors import AccuracyError, ArgumentError, StationaryPointError
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,110 @@ def phase_sum_brute(coeff, shift, exponent, lo, hi) -> complex:
             ph = float(mpmath.frac(coeff * mpmath.power(r + shift, exponent)))
         total += cmath.exp(2j * math.pi * ph)
     return total
+
+
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Legendre panels: an independent float64 quadrature
+
+_SQRT_GL = 15
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_SQRT_GL)
+_BLOCK_PANELS = 1456   # 45 nodes each: ~1 MB per complex array of a block
+_MAX_PANELS = 400_000
+_MAX_ROUNDS = 30
+
+
+def _gl_nodes(edges: np.ndarray):
+    """GL-15 nodes on each [edges[i], edges[i+1]], and the half widths."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * _GL_X[None, :], half
+
+
+def _stationary_candidates(phase, a: float, b: float) -> list[float]:
+    """The zero of g' if it lies in (a, b)."""
+    try:
+        t0 = phase.closed()[0]
+    except StationaryPointError:
+        return []
+    return [t0] if a < t0 < b else []
+
+
+def subdivide(edges: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Split panel i into need[i] equal pieces; point k is edges[i] +
+    k * ((edges[i+1] - edges[i]) / need[i]), as np.linspace computes it."""
+    step = np.repeat((edges[1:] - edges[:-1]) / need, need)
+    k = np.arange(len(step)) - np.repeat(np.cumsum(need) - need, need)
+    return np.append(np.repeat(edges[:-1], need) + k * step, edges[-1])
+
+
+def _budget_edges(edges: np.ndarray, speed) -> np.ndarray:
+    """Subdivide until width * speed <= 0.5 on every panel (half an
+    oscillation when speed bounds |g'|), speed sampled at ends and middle."""
+    for _ in range(64):
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        width = edges[1:] - edges[:-1]
+        speeds = np.maximum.reduce([speed(x) for x in (edges[:-1], mid, edges[1:])])
+        if not np.all(np.isfinite(speeds)):
+            raise ArgumentError("the phase speed |g'| is not finite on J")
+        need = np.ceil(np.sqrt(np.maximum(width * speeds / 0.5, 1.0))).astype(int)
+        # sqrt: split gradually; large factors converge in a few sweeps
+        if np.all(need <= 1):
+            break
+        if len(edges) * 2 > _MAX_PANELS:
+            raise AccuracyError("oscillation budget needs too many panels",
+                                value=None, error_estimate=None)
+        edges = subdivide(edges, need)
+    return edges
+
+
+def gl_quad_osc(w, g, J=None, tol: float = 1e-9) -> tuple[complex, float, int]:
+    """Adaptive GL-15 panel quadrature of int w(t) e(g(t)) dt over J (the
+    support of w when None, else J clipped to it); returns (value,
+    error_estimate, nodes).
+
+    Edges are seeded at the ends of J and the stationary point of g, then
+    subdivided until each panel spans at most half an oscillation of g.
+    Each round compares every panel's GL-15 value with the sum over its two
+    halves and bisects the panels whose discrepancy exceeds tol / panels,
+    until the summed discrepancy is <= tol.  Panels go in blocks of
+    _BLOCK_PANELS, so memory stays bounded.
+    """
+    a, b = (w.lo, w.hi) if J is None else (max(J[0], w.lo), min(J[1], w.hi))
+    if not b > a:
+        return 0j, 0.0, 0
+    edges = _budget_edges(
+        np.array(sorted({a, b, *_stationary_candidates(g, a, b)}), dtype=float),
+        lambda x: np.abs(np.asarray(g.dg(x, 1), dtype=float)))
+    nodes = 0
+    for _ in range(_MAX_ROUNDS):
+        half_edges = np.empty(2 * len(edges) - 1)
+        half_edges[0::2] = edges
+        half_edges[1::2] = 0.5 * (edges[1:] + edges[:-1])
+        val, err_sum = 0j, 0.0
+        worst = np.empty(len(edges) - 1)
+        for i in range(0, len(edges) - 1, _BLOCK_PANELS):
+            j = min(i + _BLOCK_PANELS, len(edges) - 1)
+            # each panel's 15 nodes, then 15 on each of its halves
+            t, half = _gl_nodes(edges[i:j + 1])
+            t_fine, h_fine = _gl_nodes(half_edges[2 * i:2 * j + 1])
+            t = np.hstack((t, t_fine.reshape(j - i, 2 * _SQRT_GL)))
+            part = (np.asarray(w(t), dtype=np.complex128)
+                    * np.exp(2j * np.pi * np.mod(g.g(t), 1.0))
+                    * np.tile(_GL_W, 3)).reshape(j - i, 3, _SQRT_GL).sum(axis=2)
+            fine = part[:, 1] * h_fine[0::2] + part[:, 2] * h_fine[1::2]
+            worst[i:j] = np.abs(part[:, 0] * half - fine)
+            val += fine.sum()
+            err_sum += worst[i:j].sum()
+        nodes += 3 * _SQRT_GL * len(worst)
+        if err_sum <= tol:
+            return complex(val), float(err_sum), nodes
+        if 2 * len(edges) > _MAX_PANELS:
+            break
+        keep = np.ones(len(half_edges), dtype=bool)
+        keep[1::2] = worst > tol / len(worst)   # keep midpoints only where needed
+        edges = half_edges[keep]
+    raise AccuracyError(f"no convergence to tol={tol}", value=complex(val),
+                        error_estimate=float(err_sum))
 
 
 # ---------------------------------------------------------------------------

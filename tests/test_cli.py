@@ -200,13 +200,31 @@ def test_oscint_default_without_stationary_point_reports_quad(capsys, phase):
 
 
 def test_oscint_gaussian_default_record_unchanged(capsys):
-    # the record `oscint --output json` printed before the
-    # stationary_point_in_J flag existed, byte for byte
+    # the record `oscint --output json` prints, byte for byte; without the
+    # quadrature's own fields it is the record of the Gauss-Legendre panel
+    # engine (quad_nodes 13,140), before the stationary_point_in_J flag
     code, out, _ = run_cli(capsys, ["oscint", "--output", "json"])
     assert code == 0
     assert "stationary_point_in_J" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5ef743a54be7cd278b7649fc40fa561603f968c17ae47146751db964fb6aff85")
+        "e7bcb18ee2b6ebb58b756a5b0fcf286cb9a098dbed07aed0f1cae1b747335533")
+    rec = json.loads(out)
+    assert rec["values"]["quad_nodes"] == 1023
+    for key in ("quad", "quad_error_estimate", "quad_nodes", "rel_error"):
+        del rec["values"][key]
+    assert rec["values"] == {
+        "expansion": {"__complex__": [0.05, -0.049999999999999996]},
+        "expansion_error_estimate": 0.0, "expansion_terms": 1}
+    assert hashlib.sha256(json.dumps(rec, sort_keys=True).encode()).hexdigest() \
+        == "7caf1ddb08ea3c9feb6571266c12d9e68b1e36494950b3f9cce6fa7f45417a7f"
+
+
+@pytest.mark.parametrize("t0", ["1.5", "1.501"])
+def test_oscint_bound_refuses_a_stationary_point_in_J(capsys, t0):
+    # t0 = 1.501 lies between the nodes of a 513-point grid on J
+    code, out, err = run_cli(capsys, ["oscint", "--method", "bound",
+                                      "--t0", t0])
+    assert code == 2 and "stationary point in J" in err and out == ""
 
 
 def test_selftest_passes(capsys):

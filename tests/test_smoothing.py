@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fracprimes.errors import ArgumentError
 from fracprimes.smoothing import (bump_jet, eval_bump, eval_member,
                                   make_bump, make_partition, master_window,
-                                  partition_sum, smoothstep)
+                                  partition_sum, smoothstep,
+                                  smoothstep_derivative)
 
 import oracles
 
@@ -43,6 +44,20 @@ def test_smoothstep_symmetry_and_range():
     assert float(vals[0]) == 0.0 and float(vals[-1]) == 1.0
     assert np.all(np.diff(vals) >= 0.0)
     assert np.allclose(vals + smoothstep(1.0 - ts), 1.0, atol=1e-15)
+
+
+def test_smoothstep_derivative_matches_bump_jet():
+    # on the rising edge psi(x) = S(u), u = (x - 0.8) / delta, so
+    # S'(u) = psi'(x) delta = bump_jet(w, x)[1] delta
+    w = make_bump(2.0, 0.2)
+    xs = np.linspace(0.8, 1.0, 13)[1:-1]   # u = 1/12 .. 11/12, and 1/2
+    got = smoothstep_derivative((xs - 0.8) / w.delta)
+    for x, val in zip(xs, got):
+        want = bump_jet(w, float(x))[1] * w.delta
+        assert abs(val - want) <= 1e-13 * abs(want), x
+    # zero off (0, 1) and where f underflows, with no 1/0 on the way
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.all(smoothstep_derivative([-1.0, 0.0, 1e-4, 1.0, 2.0]) == 0.0)
 
 
 def test_master_window_step():
