@@ -222,8 +222,8 @@ def kloosterman(q: int, u: int, v: int) -> KloostermanValue:
 def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
     """All S_q(u, v) for (u, v) in [0, q)^2 from one batch of length-q FFTs.
 
-    For a unit u, S_q(u, v) = S_q(1, uv) (substitute l -> l u^{-1}), so the
-    unit rows are gathered from the unit row K[w] = S_q(1, w).  A row u is
+    For a unit u, S_q(u, v) = S_q(1, uv) (substitute l -> l u^{-1}), so every
+    row is first gathered from K[w] = S_q(1, w) at w = uv mod q.  A row u is
     the FFT along v of x_u[l^{-1}] = e(-u l / q) over units l, which gives
     sum_l e(-(u l + v l^{-1})/q) = conj(S_q(u, v)); that FFT is taken for
     u = 1 and for the non-units u only (for prime q, u = 0, where the row is
@@ -238,16 +238,18 @@ def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
     x = np.zeros((len(us), q), dtype=np.complex128)
     x[:, inv[ls]] = np.exp(-2j * np.pi * (np.outer(us, ls) % q) / q)
     F = np.fft.fft(x, axis=1)
-    vals = np.empty((q, q), dtype=np.float64)
-    vals[ls] = F[0].real[np.outer(ls, np.arange(q)) % q]
+    uv = np.outer(np.arange(q), np.arange(q))
+    uv -= uv // q * q                   # libdivide; numpy's % is slower
+    vals = F[0].real[uv]
     vals[us[1:]] = F[1:].real
     return vals, float(np.max(np.abs(F.imag)))
 
 
 def weil_margin_table(q: int) -> np.ndarray:
-    """margin[u, v] = weil_bound(q,u,v) - |S_q(u,v)| for all u, v."""
+    """margin[u, v] = weil_bound(q,u,v) - |S_q(u,v)| for all u, v, with the
+    bound taken on the distinct d = gcd(u, q): gcd(u, v, q) = gcd(d_u, d_v)."""
     vals, _ = kloosterman_table(q)
-    g = np.gcd(np.arange(q), q)
-    g_uv = np.gcd.outer(g, g).astype(np.float64)   # gcd(u, v, q)
-    bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(g_uv)
-    return bound - np.abs(vals)
+    d, at = np.unique(np.gcd(np.arange(q), q), return_inverse=True)
+    bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(np.gcd.outer(d, d).astype(float))
+    np.abs(vals, out=vals)
+    return np.subtract(bound[at][:, at], vals, out=vals)

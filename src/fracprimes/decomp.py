@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, factor, mobius, mobius_range, tau_k, von_mangoldt_range
+from .arith import divisors, mobius, mobius_range, primes_upto, tau_k, von_mangoldt_range
 from .errors import ArgumentError, ResourceLimitError
 
 SLACK = 1e-12
@@ -141,15 +141,16 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _tau_chain(k: int, nmax: int) -> list:
-    """[tau_1, ..., tau_k] on [0, nmax], index 0 unused, by repeated
-    convolution with the all-ones sequence."""
-    ones = np.ones(nmax + 1)
-    ones[0] = 0.0
-    chain = [ones]
-    for _ in range(k - 1):
-        chain.append(_dirichlet_convolve(chain[-1], ones))
-    return chain
+def _tau_chain(k: int, nmax: int) -> np.ndarray:
+    """Rows tau_1..tau_k on [0, nmax], index 0 zero, by a multiplicative sieve:
+    each multiple of p^e gains tau_j(p^e) / tau_j(p^(e-1)) = (e + j - 1) / e."""
+    tau = np.ones((k, 1), dtype=np.int64) * (np.arange(nmax + 1) > 0)
+    for p in primes_upto(nmax).tolist():
+        pe, e = p, 1
+        while pe <= nmax:  # the product is a multiple of e, so // is exact
+            tau[:, pe::pe] = tau[:, pe::pe] * np.arange(e, e + k)[:, None] // e
+            pe, e = pe * p, e + 1
+    return tau
 
 
 def tau_moment_constant(k: int, xmax: int) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -300,18 +300,30 @@ def count_pi_I(X: int, q: int, a: int, win: FracWindow, table=None) -> int:
 
 
 def _residue_histograms(ps: np.ndarray, qs) -> dict:
-    """{q: bincount(ps % q, minlength=q)}, built in descending q: folded from 2q
-    when 2q is in qs, else over int32 residues if every value is below 2^31."""
-    if len(ps) and ps.max() < 2 ** 31:
-        ps = ps.astype(np.int32)
+    """{q: bincount(ps % q, minlength=q)}.  q folds from 2q if 2q is in qs; the
+    rest fill groups of lcm L <= 2^17 greedily, largest q / gcd(q, 720720 =
+    lcm(1..16)) first, and sum L/q rows of a bincount of p - (p // L) L."""
+    ps = ps.astype(np.int32) if len(ps) and ps.max() < 2 ** 31 else ps
     qs = sorted(qs, reverse=True)
     buf = np.empty(sum(qs), dtype=np.intp)  # one block, so no heap fragments
-    hist: dict = {}
-    for q, end in zip(qs, np.cumsum(qs).tolist()):
-        c2q = hist.get(2 * q)
-        hist[q] = buf[end - q : end]
-        hist[q][:] = (np.bincount(ps % q, minlength=q) if c2q is None
-                      else c2q[:q] + c2q[q:])
+    hist = {q: buf[end - q : end] for q, end in zip(qs, np.cumsum(qs).tolist())}
+    groups: list = []
+    for q in sorted((q for q in qs if 2 * q not in hist),
+                    key=lambda q: q // math.gcd(q, 720720), reverse=True):
+        g = next((g for g in groups if math.lcm(*g, q) <= 2 ** 17), None)
+        if g is None:
+            groups.append(g := [])
+        g.append(q)
+    for g in groups:
+        L = math.lcm(*g)
+        # numpy's // by a scalar uses libdivide, and its % does not
+        c = np.bincount(ps - ps // L * L, minlength=L)  # 1 MB at L = 2^17
+        for q in g:
+            np.sum(c.reshape(L // q, q), axis=0, out=hist[q])
+        del c  # before the next count
+    for q in qs:
+        if 2 * q in hist:
+            np.add(hist[2 * q][:q], hist[2 * q][q:], out=hist[q])
     return hist
 
 
@@ -319,8 +331,8 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
                    moduli: str = "all") -> DiscrepancyReport:
     """sum over moduli q <= Q of max_{(a,q)=1} |pi_I(X;q,a) - pi_I(X)/phi(q)|.
 
-    One sieve pass; histograms mod q fold from those mod 2q when 2q is a
-    modulus, else bincount.  moduli "all" is every q in [2, Q], "prime" primes.
+    One sieve pass; a histogram mod q folds from the one mod 2q or from a
+    bincount mod the lcm of q's group.  moduli "all" is [2, Q], "prime" primes.
     """
     if not 2 < Q < X:
         raise ArgumentError(f"need 2 < Q < X, got Q={Q} X={X}")

@@ -151,6 +151,17 @@ def dirichlet_convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+
+def tau_chain_convolution(k: int, nmax: int) -> list:
+    """[tau_1, ..., tau_k] on [0, nmax], index 0 zero, by repeated Dirichlet
+    convolution with the all-ones sequence."""
+    ones = np.ones(nmax + 1)
+    ones[0] = 0.0
+    chain = [ones]
+    for _ in range(k - 1):
+        chain.append(dirichlet_convolve_loop(chain[-1], ones))
+    return chain
+
 # ---------------------------------------------------------------------------
 # characters / Gauss / Kloosterman, direct definitions
 
@@ -287,6 +298,32 @@ def kloosterman_table_fft2(q: int) -> tuple[np.ndarray, float]:
             B[l, pow(l, -1, q)] = 1.0
     F = np.fft.fft2(B)
     return np.real(F), float(np.max(np.abs(np.imag(F))))
+
+
+def kloosterman_table_unit_gather(q: int) -> tuple[np.ndarray, float]:
+    """All S_q(u, v) from length-q FFTs: one row for u = 1 and one per
+    non-unit u, and each unit row u gathered from the u = 1 row at
+    np.outer(u, v) % q.  Returns (real part, max |imag|)."""
+    inv = np.array([pow(l, -1, q) if math.gcd(l, q) == 1 else -1
+                    for l in range(q)])
+    ls = np.flatnonzero(inv >= 0)
+    us = np.concatenate(([1], np.flatnonzero(inv < 0)))
+    x = np.zeros((len(us), q), dtype=np.complex128)
+    x[:, inv[ls]] = np.exp(-2j * np.pi * (np.outer(us, ls) % q) / q)
+    F = np.fft.fft(x, axis=1)
+    vals = np.empty((q, q), dtype=np.float64)
+    vals[ls] = F[0].real[np.outer(ls, np.arange(q)) % q]
+    vals[us[1:]] = F[1:].real
+    return vals, float(np.max(np.abs(F.imag)))
+
+
+def weil_margins_q2(q: int) -> np.ndarray:
+    """tau(q) sqrt(q) gcd(u, v, q)^{1/2} - |S_q(u, v)| with the bound built
+    on the whole q x q grid of gcd(u, v, q), from the unit-gather table."""
+    vals, _ = kloosterman_table_unit_gather(q)
+    g = np.gcd(np.arange(q), q)
+    return (tau_k_direct(q, 2) * np.sqrt(q)
+            * np.sqrt(np.gcd.outer(g, g).astype(float)) - np.abs(vals))
 
 
 def weil_margins_fft2(q: int) -> np.ndarray:
@@ -503,23 +540,31 @@ def quad_oracle(w_fn, g_fn, lo, hi, dps=30, maxdegree=12) -> complex:
         return complex(val)
 
 
-def exact_phase_s_integrals(w, a, b, lead, slope, ss, n, dps=40):
-    """The n-point trapezoid sum for int_a^b w(t) e(g_s(t)) dt, one per s in
-    ss, with g_s(t) = lead(t) - slope s t and g_s mod 1 computed in
+def _fixed_frac(x, bits: int) -> int:
+    """floor(x 2^bits) mod 2^bits for an mpf x: frac(x) in fixed point."""
+    return int(mpmath.floor(mpmath.ldexp(x, bits))) % (1 << bits)
+
+
+def exact_phase_s_integrals(w, a, b, lead, slope, ss, n, dps=40, bits=160):
+    """The n-point trapezoid sum for int_a^b w(t) e(g_s(t)) dt, one per
+    integer s in ss, with g_s(t) = lead(t) - slope s t and g_s mod 1 computed in
     dps-digit mpmath.  lead(t) takes and returns an mpf; slope is an mpf.
     The nodes are the float64 t_k = a + (b - a) (k / n), 0 < k < n, and w is
-    evaluated there in float64."""
+    evaluated there in float64.  frac(lead(t)) and frac(slope t) are taken
+    once per node, in dps digits, as integers G and L scaled by 2^bits, and
+    g_s mod 1 = ((G - s L) mod 2^bits) / 2^bits, which adds at most
+    (1 + |s|) 2^-bits to the dps-digit error."""
     t = a + (b - a) * (np.arange(1, n) / n)
     wt = np.asarray(w(t), dtype=float)
-    out = []
+    one = 1 << bits
     with mpmath.workdps(dps):
         tm = [mpmath.mpf(float(x)) for x in t]
-        lm = [lead(x) for x in tm]
-        for s in ss:
-            ph = np.array([float(mpmath.frac(g - slope * s * x))
-                           for g, x in zip(lm, tm)])
-            out.append(complex(np.sum(wt * np.exp(2j * np.pi * ph)))
-                       * ((b - a) / n))
+        gl = [(_fixed_frac(lead(x), bits), _fixed_frac(slope * x, bits))
+              for x in tm]
+    out = []
+    for s in map(int, ss):
+        ph = np.array([((g - s * l) % one) / one for g, l in gl])
+        out.append(complex(np.sum(wt * np.exp(2j * np.pi * ph))) * ((b - a) / n))
     return out
 
 

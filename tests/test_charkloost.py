@@ -237,6 +237,22 @@ def test_kloosterman_table_matches_fft2(q):
     assert np.abs(margins - oracles.weil_margins_fft2(q)).max() <= 1e-9 * q
 
 
+_BITWISE_MODULI = sorted(set(range(2, 131)) | set(primes_upto(499).tolist())
+                         | {210, 256, 360, 420, 500})
+
+
+@pytest.mark.parametrize("q", _BITWISE_MODULI)
+def test_tables_match_unit_gather_and_q2_bound_bitwise(q):
+    # the full-grid gather and the divisor-grid Weil bound change no bit
+    vals, imag_max = kloosterman_table(q)
+    want, want_imag = oracles.kloosterman_table_unit_gather(q)
+    assert np.array_equal(vals.view(np.uint64), want.view(np.uint64))
+    assert imag_max == want_imag
+    margins = weil_margin_table(q)
+    want = oracles.weil_margins_q2(q)
+    assert np.array_equal(margins.view(np.uint64), want.view(np.uint64))
+
+
 def test_degenerate_kloosterman_is_phi():
     for q in (7, 12):
         assert abs(kloosterman(q, 0, 0).value - euler_phi(q)) <= 1e-12

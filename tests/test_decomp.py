@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import mobius_range, von_mangoldt
 from fracprimes.decomp import (DyadicTuple, TypeWitness, _dirichlet_convolve,
-                               classify_dyadic,
+                               _tau_chain, classify_dyadic,
                                classify_exponents, hb_residual_scan,
                                hb_signed_total_range, heath_brown_terms,
                                verify_dyadic_witness, verify_witness)
@@ -136,11 +136,7 @@ def test_dirichlet_convolve_matches_loop_on_hb_scan_arguments():
     mu = mobius_range(nmax).astype(np.float64)
     logs = np.zeros(nmax + 1)
     logs[1:] = np.log(np.arange(1, nmax + 1, dtype=np.float64))
-    ones = np.ones(nmax + 1)
-    ones[0] = 0.0
-    tau = {1: ones}
-    for j in range(2, k + 1):
-        tau[j] = oracles.dirichlet_convolve_loop(tau[j - 1], ones)
+    tau = dict(enumerate(oracles.tau_chain_convolution(k, nmax), 1))
     for v in range(3, 8):
         mu_v = mu.copy()
         mu_v[v + 1 :] = 0.0
@@ -153,6 +149,16 @@ def test_dirichlet_convolve_matches_loop_on_hb_scan_arguments():
             assert np.count_nonzero(conv) < np.count_nonzero(lj)
             _same_bits_as_loop(lj, conv)
 
+
+
+@pytest.mark.parametrize("nmax", [2, 3000, 20000])
+def test_tau_sieve_matches_convolution_chain(nmax):
+    want = oracles.tau_chain_convolution(7, nmax)
+    for k in range(1, 8):
+        got = _tau_chain(k, nmax)
+        assert got.shape == (k, nmax + 1)
+        for row, ref in zip(got, want):
+            assert np.array_equal(row, ref)
 
 # ---------------------------------------------------------------------------
 # Lemma-style exponent classifier

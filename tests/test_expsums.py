@@ -383,18 +383,33 @@ def test_bv_rows_match_bincount_loop(X, Q, c, d, moduli):
     assert rep.pi_I == len(pe)
 
 
+# moduli 61..121 lack a 2q, an odd count; 2^15 and 2^17 share a group whose
+# lcm is the 2^17 cap, 3 * 2^15 cannot join it, and 2^17 + 1 is above the cap
+_HIST_MODULI = (range(2, 121), range(2, 122), primes_upto(500).tolist(),
+                [3, 5, 2 ** 15, 3 * 2 ** 15, 2 ** 17, 2 ** 17 + 1])
+
+
+def _check_histograms(x, qs):
+    hist = _residue_histograms(x, qs)
+    assert sorted(hist) == sorted(qs)
+    for q in qs:
+        expected = np.bincount(x % q, minlength=q)
+        assert hist[q].dtype == expected.dtype
+        assert np.array_equal(hist[q], expected)
+
+
 @pytest.mark.parametrize("base", [2 ** 31 - 10 ** 6, 2 ** 31, 2 ** 40])
 def test_residue_histograms_match_bincount(base):
     # values from 2^31 on must stay on the int64 path
     rng = np.random.default_rng(base % 997)
     x = np.sort(rng.integers(base, base + 10 ** 6 - 1, 5000, dtype=np.int64))
-    qs = range(2, 121)
-    hist = _residue_histograms(x, qs)
-    assert sorted(hist) == list(qs)
-    for q in qs:
-        expected = np.bincount(x % q, minlength=q)
-        assert hist[q].dtype == expected.dtype
-        assert np.array_equal(hist[q], expected)
+    for qs in _HIST_MODULI:
+        _check_histograms(x, qs)
+
+
+def test_residue_histograms_of_no_values():
+    for qs in _HIST_MODULI:
+        _check_histograms(np.empty(0, dtype=np.int64), qs)
 
 
 def test_bv_monotone_in_Q():
