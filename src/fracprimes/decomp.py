@@ -143,12 +143,13 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _tau_chain(k: int, nmax: int) -> np.ndarray:
     """Rows tau_1..tau_k on [0, nmax], index 0 zero, by a multiplicative sieve:
-    each multiple of p^e gains tau_j(p^e) / tau_j(p^(e-1)) = (e + j - 1) / e."""
-    tau = np.ones((k, 1), dtype=np.int64) * (np.arange(nmax + 1) > 0)
+    each multiple of p^e gains tau_j(p^e) / tau_j(p^(e-1)) = (e + j - 1) / e.
+    float64 is exact below 2^53 and rounds, never wraps, above."""
+    tau = np.ones((k, 1)) * (np.arange(nmax + 1) > 0)
     for p in primes_upto(nmax).tolist():
         pe, e = p, 1
-        while pe <= nmax:  # the product is a multiple of e, so // is exact
-            tau[:, pe::pe] = tau[:, pe::pe] * np.arange(e, e + k)[:, None] // e
+        while pe <= nmax:  # the product is a multiple of e, so / is exact
+            tau[:, pe::pe] = tau[:, pe::pe] * np.arange(e, e + k)[:, None] / e
             pe, e = pe * p, e + 1
     return tau
 

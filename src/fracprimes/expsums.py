@@ -301,15 +301,14 @@ def count_pi_I(X: int, q: int, a: int, win: FracWindow, table=None) -> int:
 
 def _residue_histograms(ps: np.ndarray, qs) -> dict:
     """{q: bincount(ps % q, minlength=q)}.  q folds from 2q if 2q is in qs; the
-    rest fill groups of lcm L <= 2^17 greedily, largest q / gcd(q, 720720 =
-    lcm(1..16)) first, and sum L/q rows of a bincount of p - (p // L) L."""
+    rest fill groups of lcm L <= 2^17 greedily, largest q first, and sum L/q
+    rows of a bincount of p - (p // L) L."""
     ps = ps.astype(np.int32) if len(ps) and ps.max() < 2 ** 31 else ps
     qs = sorted(qs, reverse=True)
     buf = np.empty(sum(qs), dtype=np.intp)  # one block, so no heap fragments
     hist = {q: buf[end - q : end] for q, end in zip(qs, np.cumsum(qs).tolist())}
     groups: list = []
-    for q in sorted((q for q in qs if 2 * q not in hist),
-                    key=lambda q: q // math.gcd(q, 720720), reverse=True):
+    for q in (q for q in qs if 2 * q not in hist):
         g = next((g for g in groups if math.lcm(*g, q) <= 2 ** 17), None)
         if g is None:
             groups.append(g := [])

@@ -151,7 +151,6 @@ def dirichlet_convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-
 def tau_chain_convolution(k: int, nmax: int) -> list:
     """[tau_1, ..., tau_k] on [0, nmax], index 0 zero, by repeated Dirichlet
     convolution with the all-ones sequence."""
@@ -161,6 +160,7 @@ def tau_chain_convolution(k: int, nmax: int) -> list:
     for _ in range(k - 1):
         chain.append(dirichlet_convolve_loop(chain[-1], ones))
     return chain
+
 
 # ---------------------------------------------------------------------------
 # characters / Gauss / Kloosterman, direct definitions
@@ -540,27 +540,32 @@ def quad_oracle(w_fn, g_fn, lo, hi, dps=30, maxdegree=12) -> complex:
         return complex(val)
 
 
-def _fixed_frac(x, bits: int) -> int:
-    """floor(x 2^bits) mod 2^bits for an mpf x: frac(x) in fixed point."""
-    return int(mpmath.floor(mpmath.ldexp(x, bits))) % (1 << bits)
+_EXACT_DPS = 40
+_FRAC_BITS = 160  # a phase mod 1 in fixed point, finer than 40 digits (133 bits)
 
 
-def exact_phase_s_integrals(w, a, b, lead, slope, ss, n, dps=40, bits=160):
+def _fixed_frac(x) -> int:
+    """floor(x 2^_FRAC_BITS) mod 2^_FRAC_BITS for an mpf x: frac(x) in fixed
+    point."""
+    return int(mpmath.floor(mpmath.ldexp(x, _FRAC_BITS))) % (1 << _FRAC_BITS)
+
+
+def exact_phase_s_integrals(w, a, b, lead, slope, ss, n):
     """The n-point trapezoid sum for int_a^b w(t) e(g_s(t)) dt, one per
     integer s in ss, with g_s(t) = lead(t) - slope s t and g_s mod 1 computed in
-    dps-digit mpmath.  lead(t) takes and returns an mpf; slope is an mpf.
+    40-digit mpmath.  lead(t) takes and returns an mpf; slope is an mpf.
     The nodes are the float64 t_k = a + (b - a) (k / n), 0 < k < n, and w is
     evaluated there in float64.  frac(lead(t)) and frac(slope t) are taken
-    once per node, in dps digits, as integers G and L scaled by 2^bits, and
-    g_s mod 1 = ((G - s L) mod 2^bits) / 2^bits, which adds at most
-    (1 + |s|) 2^-bits to the dps-digit error."""
+    once per node, in 40 digits, as integers G and L scaled by 2^160, and
+    g_s mod 1 = ((G - s L) mod 2^160) / 2^160, which adds at most
+    (1 + |s|) 2^-160 to the 40-digit error."""
+    assert all(s == int(s) for s in ss), "the fixed-point path needs integer s"
     t = a + (b - a) * (np.arange(1, n) / n)
     wt = np.asarray(w(t), dtype=float)
-    one = 1 << bits
-    with mpmath.workdps(dps):
+    one = 1 << _FRAC_BITS
+    with mpmath.workdps(_EXACT_DPS):
         tm = [mpmath.mpf(float(x)) for x in t]
-        gl = [(_fixed_frac(lead(x), bits), _fixed_frac(slope * x, bits))
-              for x in tm]
+        gl = [(_fixed_frac(lead(x)), _fixed_frac(slope * x)) for x in tm]
     out = []
     for s in map(int, ss):
         ph = np.array([((g - s * l) % one) / one for g, l in gl])

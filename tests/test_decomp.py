@@ -150,7 +150,6 @@ def test_dirichlet_convolve_matches_loop_on_hb_scan_arguments():
             _same_bits_as_loop(lj, conv)
 
 
-
 @pytest.mark.parametrize("nmax", [2, 3000, 20000])
 def test_tau_sieve_matches_convolution_chain(nmax):
     want = oracles.tau_chain_convolution(7, nmax)
@@ -159,6 +158,18 @@ def test_tau_sieve_matches_convolution_chain(nmax):
         assert got.shape == (k, nmax + 1)
         for row, ref in zip(got, want):
             assert np.array_equal(row, ref)
+
+
+def test_tau_sieve_rounds_and_does_not_wrap_past_int64():
+    # tau_150(2^14) = C(163, 14) and tau_150(2^12 3) pass 2^63; float64 must
+    # round them (at most one rounding per prime-power step), not wrap
+    k = 150
+    got = _tau_chain(k, 2 ** 14)[-1]
+    for n, want in ((2 ** 14, math.comb(14 + k - 1, 14)),
+                    (2 ** 12 * 3, math.comb(12 + k - 1, 12) * k)):
+        assert want > 2 ** 63
+        assert abs(got[n] - want) <= 1e-13 * want
+
 
 # ---------------------------------------------------------------------------
 # Lemma-style exponent classifier
