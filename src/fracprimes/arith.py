@@ -57,7 +57,15 @@ class SieveTable:
         return int(np.count_nonzero(self.is_prime))
 
     def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.is_prime).astype(np.int64, copy=False) + self.lo
+        """The flagged n as int64, from the odd flags and 2's; it trusts that no
+        even n > 2 is flagged, as `sieve_primes` and `save_sieve` guarantee."""
+        k = (self.lo + 1) % 2                 # flag index of the first odd n
+        odd = np.flatnonzero(self.is_prime[k::2])
+        two = int(self.lo <= 2 < self.hi and self.is_prime[2 - self.lo])
+        out = np.empty(two + len(odd), dtype=np.int64)
+        out[:two] = 2
+        np.add(np.multiply(odd, 2, out=out[two:]), self.lo + k, out=out[two:])
+        return out
 
 
 def sieve_primes(lo: int, hi: int) -> SieveTable:

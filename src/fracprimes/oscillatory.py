@@ -39,7 +39,7 @@ import numpy as np
 from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
-from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, unit_phases
+from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, frac_part, unit_phases
 from .smoothing import (JET_ORDER, BumpWindow, bump_jet, eval_bump,
                         eval_member, make_partition, series_exp, series_mul,
                         smoothstep, smoothstep_derivative)
@@ -215,7 +215,7 @@ class OscIntegralResult:
 
 
 def _phase_circle(g_vals: np.ndarray) -> np.ndarray:
-    return np.exp(2j * np.pi * np.mod(g_vals, 1.0))
+    return np.exp(2j * np.pi * frac_part(g_vals))
 
 
 def _window(w: WindowModel, J) -> tuple:
@@ -744,7 +744,7 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
     phi_vals = phi_scale * np.power(q * u * m * ns.astype(float) / s, gamma)
     big = np.abs(phi_vals) > REDUCTION_THRESHOLD
-    ph = np.mod(phi_vals, 1.0)
+    ph = frac_part(phi_vals)
     if np.any(big):
         a = _MP50.mpf(alpha)
         ex = a / (1 - a)

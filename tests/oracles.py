@@ -162,6 +162,11 @@ def tau_chain_convolution(k: int, nmax: int) -> list:
     return chain
 
 
+def flagged_primes(table) -> np.ndarray:
+    """A SieveTable's primes from one flatnonzero over every flag."""
+    return np.flatnonzero(table.is_prime).astype(np.int64, copy=False) + table.lo
+
+
 # ---------------------------------------------------------------------------
 # characters / Gauss / Kloosterman, direct definitions
 
@@ -595,6 +600,39 @@ def stationary_scan(dg, a: float, b: float) -> list[float]:
         if not merged or t - merged[-1] > 1e-12 * max(abs(b - a), 1.0):
             merged.append(t)
     return merged
+
+
+_MP50 = mpmath.MPContext()
+_MP50.dps = 50
+
+
+def anchored_frac_operators(c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
+    """The anchored reduction frac(c (n + shift)^e) with its 50-digit anchors
+    taken through mpf operators: each anchor a gives frac(p),
+    frac(p e / (a + shift)) and p for p = c (a + shift)^e."""
+    ns, ef = np.asarray(ns, dtype=np.int64), float(e)
+    nf = ns + float(shift)
+    with np.errstate(divide="ignore"):
+        cap = np.minimum(np.minimum(nf / 64, 4096.0), np.sqrt(2.0**13 / np.abs(
+            float(c) * ef * (ef - 1) * np.power(nf, ef - 2))))
+    span = np.ldexp(1.0, np.frexp(np.maximum(cap, 1.0))[1] - 1).astype(np.int64)
+    n0 = ns // span * span + span // 2
+    anchors, inv = np.unique(n0, return_inverse=True)
+    cm, em, sh = _MP50.mpf(c), _MP50.mpf(e), _MP50.mpf(shift)
+    at = np.empty((len(anchors), 3))
+    for j, a in enumerate(anchors.tolist()):
+        p = cm * _MP50.power(a + sh, em)
+        at[j] = _MP50.frac(p), _MP50.frac(p * em / (a + sh)), p
+    p0, p1, amp = at[inv].T
+    k = ns - n0
+    x = k / (nf - k)
+    term = tail = amp * x * x * (ef * (ef - 1) / 2)
+    for t in range(2, 64):
+        if t >= ef and np.max(np.abs(term)) <= 2.0**-53:
+            break
+        term = term * x * ((ef - t) / (t + 1))
+        tail = tail + term
+    return np.mod(p0 + (p1 * k + tail), 1.0)
 
 
 def reduced_phase_oracle(h, n, alpha, shift=0.0) -> float:

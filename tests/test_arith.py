@@ -36,6 +36,33 @@ def test_sieve_roundtrip(tmp_path):
     assert np.array_equal(back.is_prime, table.is_prime)
 
 
+def _assert_listing_is_flagged_primes(table):
+    got, want = table.primes(), oracles.flagged_primes(table)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10_000), (3, 10_000), (4, 10_001),
+                                    (5, 9_999), (9, 10_000), (10, 10_001),
+                                    (2, 3), (3, 4), (2, 4), (24, 29), (90, 97)])
+def test_primes_listing_matches_every_flag(lo, hi):
+    # (24, 29) and (90, 97) hold no prime
+    _assert_listing_is_flagged_primes(sieve_primes(lo, hi))
+
+
+@pytest.mark.parametrize("t_lo", [2, 501])
+def test_primes_listing_of_range_reads(tmp_path, t_lo):
+    # the reads start at byte edges t_lo + 8 b: even lo for an even t_lo,
+    # odd lo for an odd one
+    path = str(tmp_path / "primes_10003.fpl")
+    save_sieve(sieve_primes(t_lo, 10_003), path)
+    for lo, hi in ((t_lo, t_lo + 1), (t_lo, 90), (t_lo + 8, 800), (700, 701),
+                   (t_lo + 79, 9_000), (9_990, 10_003), (None, None)):
+        part = load_sieve(path, lo, hi)
+        assert lo is None or (part.lo - t_lo) % 8 == 0
+        _assert_listing_is_flagged_primes(part)
+
+
 @pytest.mark.parametrize("lo, hi", [(1, 100), (0, 100), (100, 100),
                                     (101, 100), (2, 2 ** 48 + 1)])
 def test_sieve_rejects_bad_ranges(lo, hi):

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from fracprimes.arith import euler_phi, primes_upto
 from fracprimes.decomp import tau_moment_constant
 from fracprimes.errors import ArgumentError, ResourceLimitError
-from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, BilinearResult,
+from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50, BilinearResult,
                                 ExpSumSpec, FracWindow, MonomialPhase,
                                 bilinear_sum, block_sum,
                                 bv_discrepancy, count_pi_I, exp_sum_primes,
+                                frac_part, _anchored_frac,
                                 _reduce_monomial, _residue_histograms,
                                 level_of_distribution,
                                 phase_sum,
@@ -232,6 +233,57 @@ def test_anchored_tier_span_collapses_to_one():
     got = reduced_phase_array(h, ns, alpha)
     want = [oracles.reduced_phase_oracle(h, n, alpha) for n in ns]
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_frac_part_is_np_mod(w: np.ndarray):
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(frac_part(w)), _bits(np.mod(w, 1.0)))
+
+
+def test_frac_part_matches_np_mod_on_edge_grid():
+    ints = np.array([1.0, 2.0, 3.0, 4096.0, 2.0 ** 40, 2.0 ** 52 - 1])
+    ints = np.concatenate([ints, -ints])
+    grid = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+         -1e-300, 1e-300, 0.5, -0.5, 2.0 ** 52 + 0.5, 2.0 ** 53 + 2.0,
+         2.0 ** 60, -(2.0 ** 52) - 0.5, -(2.0 ** 70), 1.7e308, -1.7e308],
+        ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf)])
+    _assert_frac_part_is_np_mod(grid)
+    assert _bits(frac_part(np.array([-1e-300])))[0] == _bits(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=50))
+def test_frac_part_matches_np_mod(values):
+    _assert_frac_part_is_np_mod(np.array(values, dtype=np.float64))
+
+
+def _second_kind_coefficient(alpha, h, qum, s):
+    # built as oscillatory.poisson_verify_second builds its anchored phase
+    a = _MP50.mpf(alpha)
+    ex = a / (1 - a)
+    sc = (1 - a) * (a ** alpha * h) ** (1 / (1 - a))
+    return sc * _MP50.power(_MP50.mpf(qum) / s, ex), ex
+
+
+@pytest.mark.parametrize("c, e, shift, ns", [
+    (3.7e5, 0.37, 0.0, np.arange(1000, 3001)),
+    (3.7e5, 0.37, 0.41, np.arange(1000, 3001)),
+    (1.0, 0.9, 0.0, np.arange(10 ** 6, 10 ** 6 + 5000, 3)),
+    (2.0e4, 0.45, 0.999, np.arange(4000, 4600)),
+    (-2.3e6, 0.55, 0.0, np.arange(700, 1900)),
+    (-41.5, 0.8, 0.25, np.random.default_rng(5).integers(10 ** 5, 10 ** 9, 400)),
+    (*_second_kind_coefficient(0.3, 2, 105, 2), 0.0, np.arange(5000, 9000)),
+    (*_second_kind_coefficient(0.05, 7, 12, 3), 0.0, np.arange(40, 2000)),
+], ids=["float", "float-shift", "alpha0.9", "shift0.999", "negative-c",
+        "negative-c-shift-scattered", "mpf-c-e", "mpf-c-e-small-n"])
+def test_anchored_frac_matches_mpf_operators(c, e, shift, ns):
+    assert np.array_equal(_bits(_anchored_frac(c, ns, e, shift)),
+                          _bits(oracles.anchored_frac_operators(c, ns, e, shift)))
 
 
 def test_float_tier_unchanged_in_mixed_array():
