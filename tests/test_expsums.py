@@ -251,7 +251,9 @@ def test_frac_part_matches_np_mod_on_edge_grid():
         [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
          -1e-300, 1e-300, 0.5, -0.5, 2.0 ** 52 + 0.5, 2.0 ** 53 + 2.0,
          2.0 ** 60, -(2.0 ** 52) - 0.5, -(2.0 ** 70), 1.7e308, -1.7e308],
-        ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf)])
+        ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf),
+        # a signalling NaN and a negative NaN with a payload
+        np.array([0x7FF0000000000001, 0xFFF8000000000123], np.uint64).view(np.float64)])
     _assert_frac_part_is_np_mod(grid)
     assert _bits(frac_part(np.array([-1e-300])))[0] == _bits(1.0)
 
