@@ -25,7 +25,7 @@ import numpy as np
 from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_frac, mpf_mul, mpf_pow, to_float
 
 from .arith import primes_upto, sieve_primes, von_mangoldt_range
-from .errors import AccuracyError, ArgumentError, ResourceLimitError
+from .errors import AccuracyError, ArgumentError
 from .smoothing import BumpWindow, eval_bump
 
 REDUCTION_THRESHOLD = 2.0**12
@@ -424,64 +424,6 @@ def vdc_bound(phase: MonomialPhase, constant: float = 8.0) -> float:
     for length, m1, m2 in done:
         total += constant * (length * math.sqrt(m2) + 1.0 / math.sqrt(m1))
     return total
-
-
-# ---------------------------------------------------------------------------
-# bilinear forms
-
-@dataclass(frozen=True)
-class BilinearResult:
-    value: complex
-    count: int
-    cauchy_lhs: float     # |value|^2
-    cauchy_rhs: float     # (sum |gamma|^2) * (sum_m |T_m|^2)
-    diagonal: float       # n1 = n2 part of sum_m |T_m|^2
-
-
-def _coeff_array(c, ks: np.ndarray) -> np.ndarray:
-    if callable(c):
-        return np.array([c(int(k)) for k in ks], dtype=np.complex128)
-    arr = np.asarray(c, dtype=np.complex128)
-    if arr.shape != ks.shape:
-        raise ArgumentError("coefficient array length does not match range")
-    return arr
-
-
-def bilinear_sum(m_range, n_range, gamma, beta, q: int, a: int, h, alpha: float,
-                 window: BumpWindow, X: int,
-                 budget: int = 10**6) -> BilinearResult:
-    """sum_{m, n} gamma(m) beta(n) psi(mn/X) e(h (mn)^alpha) over mn = a (q),
-    with the Cauchy-split bookkeeping (diagonal = n1 = n2 terms).
-
-    Ranges are half-open (lo, hi).  gamma/beta may be callables or arrays.
-    """
-    m_lo, m_hi = m_range
-    n_lo, n_hi = n_range
-    if m_lo >= m_hi or n_lo >= n_hi or m_lo < 1 or n_lo < 1:
-        raise ArgumentError("ranges must be nonempty with lo >= 1")
-    count = (m_hi - m_lo) * (n_hi - n_lo)
-    if count > budget:
-        raise ResourceLimitError(f"{count} terms exceed budget {budget}",
-                                 estimate=count, budget=budget)
-    ms = np.arange(m_lo, m_hi, dtype=np.int64)
-    ns = np.arange(n_lo, n_hi, dtype=np.int64)
-    g = _coeff_array(gamma, ms)
-    b = _coeff_array(beta, ns)
-    mn = ms[:, None] * ns[None, :]
-    w = eval_bump(window, mn / X)
-    if q > 1:
-        w = w * (mn % q == a)
-    phases = unit_phases(h, mn.ravel(), alpha).reshape(mn.shape)
-    inner = w * phases            # psi * e(...) with the congruence folded in
-    t_m = inner @ b               # T_m = sum_n beta(n) psi e(...)
-    value = complex(np.sum(g * t_m))
-    sum_g2 = float(np.sum(np.abs(g) ** 2))
-    sum_t2 = float(np.sum(np.abs(t_m) ** 2))
-    diagonal = float(np.sum((np.abs(w) ** 2) @ (np.abs(b) ** 2)))
-    return BilinearResult(value=value, count=int(count),
-                          cauchy_lhs=abs(value) ** 2,
-                          cauchy_rhs=sum_g2 * sum_t2,
-                          diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------

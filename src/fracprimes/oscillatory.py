@@ -42,7 +42,7 @@ from .errors import (AccuracyError, ArgumentError, InvariantViolation,
 from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, frac_part, unit_phases
 from .smoothing import (JET_ORDER, BumpWindow, bump_jet, eval_bump,
                         eval_member, make_partition, series_exp, series_mul,
-                        smoothstep, smoothstep_derivative)
+                        smoothstep_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,8 @@ def _trapezoid_s_integrals(w: WindowModel, a: float, b: float, g0: PhaseModel,
             return a + (b - a) * u, 1.0
     else:
         def node(u):
-            return a + (b - a) * smoothstep(u), smoothstep_derivative(u)
+            step, jac = smoothstep_pair(u)
+            return a + (b - a) * step, jac
     ss = np.asarray(ss)
     slot = {int(s): j for j, s in enumerate(ss)}
     s_lo, s_hi = min(slot), max(slot)
@@ -329,11 +330,12 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
                         R_I, A_I: float, J_len: float):
     """J_len * X_I * ((Q R / sqrt(Y))^{-A} + (R V)^{-A}).
 
-    Valid when the phase derivative exceeds R_I on the window, the
-    amplitude is X_I-bounded with V_I-scaled derivatives, and the phase
-    second derivative is Y_I Q_I^{-2}-ish; the leading constant is not
-    pinned by theory and is taken as 1.  R_I may be an array: the bound is
-    then taken elementwise.
+    The form of the integration-by-parts bound of Blomer, Khan and Young,
+    Duke Math. J. 162 (2013), Lemma 8.1: valid when the phase derivative
+    exceeds R_I on the window, the amplitude is X_I-bounded with V_I-scaled
+    derivatives, and the phase second derivative is Y_I Q_I^{-2}-ish; the
+    leading constant is not pinned by theory and is taken as 1.  R_I may be
+    an array: the bound is then taken elementwise.
     """
     for name, val in (("X_I", X_I), ("V_I", V_I), ("Y_I", Y_I),
                       ("Q_I", Q_I), ("R_I", R_I), ("A_I", A_I),
@@ -508,13 +510,25 @@ _A_TAIL = 8.0
 
 
 def _tail_sum(sm: int, num: float, den: float, lead_peak: float, q: int,
-              bound: dict) -> float:
+              bound: dict, memo: dict) -> float:
     """sum over 1 <= |s| - sm < 63 (sm + 1) of q nonstationary_bound(R_I = r),
     r = num |s| / den - lead_peak, terms with r <= 0 dropped; added up in
-    order of |s| and cut at the first term under 1e-22 of the running sum."""
-    s_t = np.arange(sm + 1, 64 * (sm + 1))
-    r = num * s_t / den - lead_peak
-    term = nonstationary_bound(R_I=r[r > 0], **bound)
+    order of |s| and cut at the first term under 1e-22 of the running sum.
+
+    memo keeps r and the bound for s = 1, 2, ... between calls with the same
+    num, den, lead_peak and bound, grown to s < 64 (sm + 1) when shorter, so
+    a Poisson check computes each term once; the running sum still starts
+    at sm + 1 on every call."""
+    end = 64 * (sm + 1)
+    r, term = memo.get("r", np.empty(0)), memo.get("term", np.empty(0))
+    if len(r) < end - 1:
+        r_new = num * np.arange(len(r) + 1, end) / den - lead_peak
+        term_new = np.zeros(len(r_new))
+        pos = r_new > 0
+        term_new[pos] = nonstationary_bound(R_I=r_new[pos], **bound)
+        memo["r"] = r = np.concatenate((r, r_new))
+        memo["term"] = term = np.concatenate((term, term_new))
+    term = term[sm:end - 1][r[sm:end - 1] > 0]   # s = sm + 1 .. end - 1
     acc = np.cumsum(2 * term * q)   # both signs of s; |tau| <= q
     cut = np.flatnonzero(term * q < 1e-22 * np.maximum(acc, 1.0))
     return float(acc[cut[0] if len(cut) else -1]) if len(acc) else 0.0
@@ -552,9 +566,10 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
 
     bound = dict(X_I=max(amp_max, 1e-300), V_I=v_scale, Y_I=y_curv, Q_I=1.0,
                  A_I=_A_TAIL, J_len=max(hi - lo, 1e-12))
+    memo = {}
 
     def tail_beyond(sm: int) -> float:
-        return _tail_sum(sm, num, den, lead_peak, q, bound) * abs(pref)
+        return _tail_sum(sm, num, den, lead_peak, q, bound, memo) * abs(pref)
 
     if s_max is None:
         s_max = int(math.ceil(T)) + 4
@@ -601,7 +616,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
 
     The k-slot weight is log k; K is the grid value 1.1^l nearest the
     k-scale at mid-plateau.  Both sides are computed independently (finite
-    sum vs adaptive quadrature); the s-sum is truncated at s_max with a
+    sum vs the trapezoid rule); the s-sum is truncated at s_max with a
     reported tail bound.
     """
     _need_positive(q=q, u=u, m=m, n=n)
@@ -775,48 +790,3 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
               "amp_l1": float(np.sum(np.abs(amp))),
               "tau_support": (tau_lo, tau_hi), "T3": tw.T3, "T4": tw.T4})
 
-
-def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
-                                     h: float, alpha: float, X: int,
-                                     window: BumpWindow, N: float,
-                                     K: float) -> tuple[complex, complex]:
-    """The sigma-integral in the n-variable vs in the tau-variable.
-
-    Returns (direct, transformed): direct = int F(n) e(Phi(n) - sigma n/q) dn,
-    transformed = (s X^{1-a}/(a h q u m))^{b/2} J(sigma), both by quad_osc
-    to tol 1e-9.  Equality is the change-of-variables
-    T = a h q u m n/(s X^{1-a}) with its Jacobian.
-    """
-    if not h > 0:  # the n-phase scale (1-a) (a^a h)^{1/(1-a)} is real
-        raise ArgumentError(f"the second-kind n-phase needs h > 0, got {h}")
-    cst = alpha_constants(alpha)
-    part = _partition(X)
-    part.index_of(N)
-    part.index_of(K)
-    aq = alpha * h * q * u * m
-    amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
-                                      N, K)
-    phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
-    k, gam = q * u * m / s, cst.gamma
-
-    def closed():
-        if sigma <= 0:
-            raise StationaryPointError("no stationary point: need sigma > 0")
-        n0 = (sigma / (q * phi_scale * gam * k ** gam)) ** (1 / (gam - 1))
-        return (n0, phi_scale * (k * n0) ** gam - sigma * n0 / q,
-                phi_scale * gam * (gam - 1) * k ** gam * n0 ** (gam - 2))
-
-    n_lo, n_hi = N / _THETA, N * _THETA
-    direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
-                      _power_phase({}, phi_scale, k, gam, sigma, q,
-                                   closed),   # Phi(n) - sigma n / q
-                      (n_lo, n_hi), tol=1e-9)
-
-    tau_lo = aq * n_lo / (s * X ** (1 - alpha))
-    tau_hi = aq * n_hi / (s * X ** (1 - alpha))
-    phase = make_second_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
-                              s=s, sigma=sigma)
-    transformed = quad_osc(WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
-                           phase, (tau_lo, tau_hi), tol=1e-9)
-    pref = (s * X ** (1 - alpha) / aq) ** (cst.beta / 2)
-    return direct.value, pref * transformed.value

@@ -31,22 +31,36 @@ def soft_exp(t):
     return out
 
 
+def _step(t, a, b):
+    """S(t) from a = f(t), b = f(1-t)."""
+    denom = np.where(a + b == 0.0, 1.0, a + b)
+    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
+
+
+def _step_derivative(t, a, b):
+    """S'(t) from a = f(t), b = f(1-t)."""
+    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
+    return a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
+
+
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    a = soft_exp(t)
-    b = soft_exp(1.0 - t)
-    denom = np.where(a + b == 0.0, 1.0, a + b)
-    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
+    return _step(t, soft_exp(t), soft_exp(1.0 - t))
 
 
 def smoothstep_derivative(t):
     """S'(t) = f(t) f(1-t) (t^-2 + (1-t)^-2) / (f(t) + f(1-t))^2, from
     f'(t) = f(t) / t^2; 0 where f(t) or f(1-t) is 0 (or underflows)."""
     t = np.asarray(t, dtype=float)
+    return _step_derivative(t, soft_exp(t), soft_exp(1.0 - t))
+
+
+def smoothstep_pair(t):
+    """(smoothstep(t), smoothstep_derivative(t)) from one f(t), f(1-t)."""
+    t = np.asarray(t, dtype=float)
     a, b = soft_exp(t), soft_exp(1.0 - t)
-    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
-    return a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
+    return _step(t, a, b), _step_derivative(t, a, b)
 
 
 @dataclass(frozen=True)
@@ -75,11 +89,13 @@ def make_bump(y: float, delta: float) -> BumpWindow:
 
 
 def eval_bump(w: BumpWindow, x):
-    """psi(x); scalar in -> float out, array in -> array out."""
+    """psi(x); scalar in -> float out, array in -> array out.  The
+    smoothstep runs on the two edges only; NaN reads 1."""
     arr = np.asarray(x, dtype=float)
-    rise = smoothstep((arr - (1.0 - w.delta)) / w.delta)
-    fall = smoothstep((w.y + w.delta - arr) / w.delta)
-    out = np.where(arr < 1.0, rise, np.where(arr > w.y, fall, 1.0))
+    out = np.ones_like(arr)
+    rise, fall = arr < 1.0, arr > w.y
+    out[rise] = smoothstep((arr[rise] - (1.0 - w.delta)) / w.delta)
+    out[fall] = smoothstep((w.y + w.delta - arr[fall]) / w.delta)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -113,10 +129,12 @@ def make_partition(theta: float, max_power: int) -> DyadicPartition:
 
 
 def master_window(theta: float, x):
-    """Psi: 1 on [-1, 1], smooth decay to 0 on theta >= |x| > 1."""
+    """Psi: 1 on [-1, 1], smooth decay to 0 on theta >= |x| > 1; the
+    smoothstep runs off [-1, 1] only, and NaN reads 0."""
     arr = np.abs(np.asarray(x, dtype=float))
-    out = smoothstep((theta - arr) / (theta - 1.0))
-    out = np.where(arr <= 1.0, 1.0, out)
+    out = np.ones_like(arr)
+    decay = ~(arr <= 1.0)
+    out[decay] = smoothstep((theta - arr[decay]) / (theta - 1.0))
     if np.ndim(x) == 0:
         return float(out)
     return out

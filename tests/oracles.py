@@ -641,6 +641,45 @@ def reduced_phase_oracle(h, n, alpha, shift=0.0) -> float:
             int(n) + mpmath.mpf(shift), alpha)))
 
 
+def _soft_exp(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / np.maximum(t[pos], 1e-300))
+    return out
+
+
+def _smoothstep(t):
+    t = np.asarray(t, dtype=float)
+    a = _soft_exp(t)
+    b = _soft_exp(1.0 - t)
+    denom = np.where(a + b == 0.0, 1.0, a + b)
+    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
+
+
+def eval_bump_full(w, x):
+    """psi(x) with the smoothstep run over the whole array, once per edge,
+    and the edge picked per point afterwards; w has y and delta."""
+    arr = np.asarray(x, dtype=float)
+    rise = _smoothstep((arr - (1.0 - w.delta)) / w.delta)
+    fall = _smoothstep((w.y + w.delta - arr) / w.delta)
+    out = np.where(arr < 1.0, rise, np.where(arr > w.y, fall, 1.0))
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def master_window_full(theta: float, x):
+    """Psi(x) with the smoothstep run over the whole array, then 1 put back
+    on [-1, 1]."""
+    arr = np.abs(np.asarray(x, dtype=float))
+    out = _smoothstep((theta - arr) / (theta - 1.0))
+    out = np.where(arr <= 1.0, 1.0, out)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
 def _bump_mp(y, delta):
     """psi at the working precision: exp(-1/t) smoothstep edges, plateau
     [1, y], support (1 - delta, y + delta)."""

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import euler_phi, primes_upto
 from fracprimes.decomp import tau_moment_constant
-from fracprimes.errors import ArgumentError, ResourceLimitError
-from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50, BilinearResult,
+from fracprimes.errors import ArgumentError
+from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50,
                                 ExpSumSpec, FracWindow, MonomialPhase,
-                                bilinear_sum, block_sum,
+                                block_sum,
                                 bv_discrepancy, count_pi_I, exp_sum_primes,
                                 frac_part, _anchored_frac,
                                 _reduce_monomial, _residue_histograms,
@@ -192,8 +192,8 @@ def test_anchored_tier_meets_the_oracle():
 
 
 def test_anchored_tier_unsorted_with_repeats():
-    # bilinear_sum's mn.ravel(): unsorted, every product of a 40 x 40 block,
-    # many of them repeated
+    # the products mn of a 40 x 40 block, raveled: unsorted and many of
+    # them repeated
     ms, ns = np.arange(960, 1000), np.arange(1130, 1170)
     mn = (ms[:, None] * ns[None, :]).ravel()
     assert len(np.unique(mn)) < len(mn) and np.any(np.diff(mn) < 0)
@@ -549,53 +549,6 @@ def test_vdc_validation():
         MonomialPhase(coeff=1.0, shift=0.0, exponent=0.5, lo=10, hi=5)
     with pytest.raises(ArgumentError):
         MonomialPhase(coeff=1.0, shift=0.0, exponent=0.5, lo=-3, hi=5)
-
-
-# ---------------------------------------------------------------------------
-# bilinear sums
-
-def _ones(n):
-    return 1.0
-
-
-def test_bilinear_no_oscillation():
-    w = BumpWindow(y=2.0, delta=0.2)
-    X = 100
-    res = bilinear_sum((8, 13), (10, 20), _ones, _ones,
-                       q=1, a=0, h=0, alpha=0.5, window=w, X=X)
-    direct = sum(eval_bump(w, m * n / X)
-                 for m in range(8, 13) for n in range(10, 20))
-    assert abs(res.value - direct) < 1e-10
-    assert res.count == 5 * 10
-
-
-def test_bilinear_matches_double_loop():
-    rng = np.random.default_rng(11)
-    gm = {m: float(rng.standard_normal()) for m in range(5, 30)}
-    bn = {n: float(rng.standard_normal()) for n in range(5, 40)}
-    w = BumpWindow(y=2.0, delta=0.2)
-    X, h, alpha, q, a = 300, 2, 0.3, 3, 1
-    res = bilinear_sum((5, 30), (5, 40), gm.get, bn.get,
-                       q=q, a=a, h=h, alpha=alpha, window=w, X=X)
-    direct = 0j
-    for m in range(5, 30):
-        for n in range(5, 40):
-            if (m * n) % q != a:
-                continue
-            psi = eval_bump(w, m * n / X)
-            if psi != 0.0:
-                direct += gm[m] * bn[n] * psi * e(reduced_phase(h, m * n, alpha))
-    assert abs(res.value - direct) < 1e-10
-    assert res.cauchy_lhs <= res.cauchy_rhs + 1e-9
-    assert res.diagonal >= 0.0
-
-
-def test_bilinear_budget():
-    w = BumpWindow(y=2.0, delta=0.2)
-    with pytest.raises(ResourceLimitError):
-        bilinear_sum((1, 2001), (1, 2001), _ones, _ones,
-                     q=1, a=0, h=1, alpha=0.3, window=w, X=10 ** 6,
-                     budget=10 ** 6)
 
 
 # ---------------------------------------------------------------------------

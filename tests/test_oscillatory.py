@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 import fracprimes.oscillatory as osc
 from fracprimes.errors import (AccuracyError, ArgumentError,
                                StationaryPointError)
-from fracprimes.oscillatory import (PhaseModel, WindowModel,
+from fracprimes.oscillatory import (_THETA, PhaseModel, WindowModel,
+                                    _partition, _power_phase,
+                                    _second_amplitudes,
                                     alpha_constants, gaussian_phase,
                                     make_first_phase,
                                     make_second_phase, nonstationary_bound,
                                     poisson_verify_first,
                                     poisson_verify_second, quad_osc,
-                                    second_change_of_variables_check,
                                     stationary_expand, stationary_point,
                                     stationary_values, truncation_windows,
                                     window_from_bump)
@@ -557,6 +558,52 @@ def test_poisson_second_principal():
     assert res.meta["T3"] == pytest.approx(0.5, abs=0.2)
 
 
+def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
+                                     h: float, alpha: float, X: int,
+                                     window: BumpWindow, N: float,
+                                     K: float) -> tuple[complex, complex]:
+    """The sigma-integral in the n-variable vs in the tau-variable.
+
+    Returns (direct, transformed): direct = int F(n) e(Phi(n) - sigma n/q) dn,
+    transformed = (s X^{1-a}/(a h q u m))^{b/2} J(sigma), both by quad_osc
+    to tol 1e-9.  Equality is the change-of-variables
+    T = a h q u m n/(s X^{1-a}) with its Jacobian.
+    """
+    if not h > 0:  # the n-phase scale (1-a) (a^a h)^{1/(1-a)} is real
+        raise ArgumentError(f"the second-kind n-phase needs h > 0, got {h}")
+    cst = alpha_constants(alpha)
+    part = _partition(X)
+    part.index_of(N)
+    part.index_of(K)
+    aq = alpha * h * q * u * m
+    amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
+                                      N, K)
+    phi_scale = (1 - alpha) * (alpha ** alpha * h) ** cst.delta
+    k, gam = q * u * m / s, cst.gamma
+
+    def closed():
+        if sigma <= 0:
+            raise StationaryPointError("no stationary point: need sigma > 0")
+        n0 = (sigma / (q * phi_scale * gam * k ** gam)) ** (1 / (gam - 1))
+        return (n0, phi_scale * (k * n0) ** gam - sigma * n0 / q,
+                phi_scale * gam * (gam - 1) * k ** gam * n0 ** (gam - 2))
+
+    n_lo, n_hi = N / _THETA, N * _THETA
+    direct = quad_osc(WindowModel(fn=amp_n, lo=n_lo, hi=n_hi),
+                      _power_phase({}, phi_scale, k, gam, sigma, q,
+                                   closed),   # Phi(n) - sigma n / q
+                      (n_lo, n_hi), tol=1e-9)
+
+    tau_lo = aq * n_lo / (s * X ** (1 - alpha))
+    tau_hi = aq * n_hi / (s * X ** (1 - alpha))
+    phase = make_second_phase(h=h, X=X, alpha=alpha, q=q, u=u, m=m,
+                              s=s, sigma=sigma)
+    transformed = quad_osc(WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
+                           phase, (tau_lo, tau_hi), tol=1e-9)
+    pref = (s * X ** (1 - alpha) / aq) ** (cst.beta / 2)
+    return direct.value, pref * transformed.value
+
+
 def test_poisson_second_jacobian_change_of_variables():
     case = _second_principal_case()
     pilot = poisson_verify_second(sigma_max=4, tol=1e12, **case)
@@ -731,23 +778,43 @@ def test_trapezoid_matches_exact_phase_oracle(monkeypatch, which):
 @pytest.mark.parametrize("sm_extra", [(0, 1, 5), (12, 40, 300)])
 def test_tail_sum_matches_scalar_loop(monkeypatch, sm_extra):
     # every tail sum of the 20 criterion-6 cases, at the s_max each case
-    # asked for and at fixed ones, bit for bit against a loop over s
+    # asked for and at fixed ones, bit for bit against a loop over s: as the
+    # check's own memo gave it, through an empty memo, and through a memo
+    # already grown past every point asked for, so that each later sm is
+    # below an earlier one
     calls = []
     real = osc._tail_sum
 
     def spy(*args):
-        calls.append(args)
-        return real(*args)
+        out = real(*args)
+        calls.append((args[:-1], out))
+        return out
 
     monkeypatch.setattr(osc, "_tail_sum", spy)
     for verify, case in map(_poisson_check_args, _poisson_grid()):
         n_before = len(calls)
         verify(**case)
         assert len(calls) > n_before
-    for sm, *rest in calls:
+    for (sm, *rest), out in calls:
+        assert out.hex() == oracles.tail_beyond_loop(sm, *rest).hex()
+        grown = {}
+        real(max(sm, *sm_extra) + 1, *rest, grown)
         for at in (sm, *sm_extra):
-            got = real(at, *rest)
-            assert got.hex() == oracles.tail_beyond_loop(at, *rest).hex()
+            want = oracles.tail_beyond_loop(at, *rest).hex()
+            assert real(at, *rest, {}).hex() == want
+            assert real(at, *rest, grown).hex() == want
+
+
+def test_tail_bound_bounds_the_tail():
+    # the s-sum cut at s_max against the same sum run on to 4 s_max + 8, for
+    # each criterion-6 case: the difference is the tail, and tail_bound
+    # (Blomer-Khan-Young's integration-by-parts bound with constant 1) must
+    # cover it
+    for verify, case in map(_poisson_check_args, _poisson_grid()):
+        key = "s_max" if verify is poisson_verify_first else "sigma_max"
+        cut = verify(**case)
+        far = verify(**case, **{key: 4 * cut.s_max + 8})
+        assert 0.0 < abs(far.rhs - cut.rhs) <= cut.tail_bound, case
 
 
 def test_nonstationary_bound_array_matches_scalar():

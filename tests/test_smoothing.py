@@ -8,7 +8,7 @@ from fracprimes.errors import ArgumentError
 from fracprimes.smoothing import (bump_jet, eval_bump, eval_member,
                                   make_bump, make_partition, master_window,
                                   partition_sum, smoothstep,
-                                  smoothstep_derivative)
+                                  smoothstep_derivative, smoothstep_pair)
 
 import oracles
 
@@ -67,6 +67,67 @@ def test_master_window_step():
     assert float(master_window(theta, theta)) == 0.0
     mid = float(master_window(theta, math.sqrt(theta)))
     assert 0.0 < mid < 1.0
+
+
+def _edge_grid(*edges):
+    """Every edge, its sign flip and its float64 neighbours, with 0, NaN
+    and the infinities."""
+    xs = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    for x in edges:
+        for v in (x, -x):
+            xs += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    return np.array(xs)
+
+
+def _hexes(vals):
+    return [float(v).hex() for v in np.ravel(vals)]
+
+
+@pytest.mark.parametrize("y, delta", [(2.0, 0.2), (1.7, 0.01), (40.0, 0.24)])
+def test_eval_bump_matches_full_array_smoothstep(y, delta):
+    # the edges only against the smoothstep over every point, bit for bit
+    w = make_bump(y, delta)
+    xs = _edge_grid(1.0 - delta, 1.0, y, y + delta, 1.0 - delta / 2,
+                    y + delta / 2)
+    rng = np.random.default_rng(23)
+    for x in (xs, rng.uniform(0.5, y + 0.5, 20_000),
+              rng.uniform(1.0 - delta, 1.0, 500).reshape(25, 20)):
+        got = eval_bump(w, x)
+        assert got.shape == x.shape
+        assert _hexes(got) == _hexes(oracles.eval_bump_full(w, x))
+    for x in xs.tolist():
+        got = eval_bump(w, x)
+        assert type(got) is float
+        assert got.hex() == oracles.eval_bump_full(w, x).hex()
+        assert eval_bump(w, np.array(x)).hex() == got.hex()
+
+
+@pytest.mark.parametrize("theta", [1.1, 2.0])
+def test_master_window_matches_full_array_smoothstep(theta):
+    xs = _edge_grid(1.0, theta, 0.5 * (1.0 + theta))
+    rng = np.random.default_rng(29)
+    for x in (xs, rng.uniform(-2 * theta, 2 * theta, 20_000),
+              np.exp(rng.uniform(-3.0, 3.0, 600)).reshape(20, 30)):
+        got = master_window(theta, x)
+        assert got.shape == x.shape
+        assert _hexes(got) == _hexes(oracles.master_window_full(theta, x))
+    for x in xs.tolist():
+        got = master_window(theta, x)
+        assert type(got) is float
+        assert got.hex() == oracles.master_window_full(theta, x).hex()
+        assert master_window(theta, np.array(x)).hex() == got.hex()
+    assert master_window(theta, np.nan) == 0.0
+
+
+def test_smoothstep_pair_matches_each_half():
+    rng = np.random.default_rng(31)
+    us = np.concatenate((_edge_grid(0.5, 1.0, 1e-3, 1e-300),
+                         rng.uniform(-0.1, 1.1, 5000)))
+    with np.errstate(invalid="ignore"):   # S'(NaN) is 0/0 in both
+        step, jac = smoothstep_pair(us)
+        want_step, want_jac = smoothstep(us), smoothstep_derivative(us)
+    assert _hexes(step) == _hexes(want_step)
+    assert _hexes(jac) == _hexes(want_jac)
 
 
 def test_partition_of_unity_fixed_grid():
