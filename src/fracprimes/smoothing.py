@@ -37,30 +37,20 @@ def _step(t, a, b):
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
 
 
-def _step_derivative(t, a, b):
-    """S'(t) from a = f(t), b = f(1-t)."""
-    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
-    return a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
-
-
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
     return _step(t, soft_exp(t), soft_exp(1.0 - t))
 
 
-def smoothstep_derivative(t):
-    """S'(t) = f(t) f(1-t) (t^-2 + (1-t)^-2) / (f(t) + f(1-t))^2, from
+def smoothstep_pair(t):
+    """(S(t), S'(t)) from one pair f(t), f(1-t): S is `smoothstep`, and
+    S'(t) = f(t) f(1-t) (t^-2 + (1-t)^-2) / (f(t) + f(1-t))^2, from
     f'(t) = f(t) / t^2; 0 where f(t) or f(1-t) is 0 (or underflows)."""
     t = np.asarray(t, dtype=float)
-    return _step_derivative(t, soft_exp(t), soft_exp(1.0 - t))
-
-
-def smoothstep_pair(t):
-    """(smoothstep(t), smoothstep_derivative(t)) from one f(t), f(1-t)."""
-    t = np.asarray(t, dtype=float)
     a, b = soft_exp(t), soft_exp(1.0 - t)
-    return _step(t, a, b), _step_derivative(t, a, b)
+    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
+    return _step(t, a, b), a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
 
 
 @dataclass(frozen=True)

@@ -657,6 +657,15 @@ def _smoothstep(t):
     return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / denom))
 
 
+def smoothstep_derivative(t):
+    """S'(t) = f(t) f(1-t) (t^-2 + (1-t)^-2) / (f(t) + f(1-t))^2, f(t) =
+    exp(-1/t); 0 where f(t) or f(1-t) is 0."""
+    t = np.asarray(t, dtype=float)
+    a, b = _soft_exp(t), _soft_exp(1.0 - t)
+    u = np.where(a * b > 0.0, t, 0.5)   # no 1/0 where the product is 0
+    return a * b * (u ** -2 + (1.0 - u) ** -2) / (a + b) ** 2
+
+
 def eval_bump_full(w, x):
     """psi(x) with the smoothstep run over the whole array, once per edge,
     and the edge picked per point afterwards; w has y and delta."""
