@@ -356,13 +356,8 @@ def primitive_root(p: int, e: int = 1) -> int:
         raise ArgumentError(f"{p} is not prime")
     # find a root mod p first
     prime_divs = [q for q, _ in factor(p - 1).factors]
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // q, p) != 1 for q in prime_divs):
-            g = cand
-            break
-    if g is None:  # p prime guarantees existence; defensive
-        raise ArgumentError(f"no primitive root found mod {p}")
+    g = next(cand for cand in range(2, p)
+             if all(pow(cand, (p - 1) // q, p) != 1 for q in prime_divs))
     if e == 1:
         return g
     # lift: g works mod p^e unless g^(p-1) == 1 mod p^2

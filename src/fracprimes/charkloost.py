@@ -1,10 +1,14 @@
 """Dirichlet characters, Gauss sums, and Kloosterman sums.
 
 Characters mod q are built by CRT over the prime-power components of q:
-odd p^e components are cyclic with a lifted primitive root, 2^e (e >= 3)
-splits as <-1> x <5>.  Each character is an integer exponent vector against
-the component generators; evaluation is a dot product with precomputed
-discrete logs, so chi(n) costs O(#generators) inside hot loops.
+odd p^e components are cyclic with a lifted primitive root, 2^e splits as
+<-1> x <5> (only <-1> for e = 2, nothing for e = 1).  Each component table
+comes from one enumeration of the generator powers prod g_i^k_i mod p^e,
+scattered to its exponent tuple; the table mod q is a gather of those
+tables at n mod p^e.  Each character is an integer exponent vector against
+the component generators; evaluation is a dot product with the discrete
+logs, so chi(n) costs O(#generators) inside hot loops.  Primitivity is
+decided on the integer exponents alone, with no character values.
 
 Kloosterman sums are evaluated directly over units (O(q)).  The all-(u,v)
 table for a fixed q gathers every unit row from the one unit row
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactoredInteger, euler_phi, factor, primitive_root, tau_k, unit_inverses
+from .arith import FactoredInteger, factor, primitive_root, tau_k, unit_inverses
 from .errors import ArgumentError, ResourceLimitError
 
 _Q_BUDGET = 10**5
@@ -48,37 +52,34 @@ class CharacterTable:
         return self.exponents.shape[0]
 
 
-def _component_dlogs(p: int, e: int):
-    """Generators and discrete-log table for (Z/p^e)^*.
+def _mixed_radix(orders: np.ndarray) -> np.ndarray:
+    """Row k holds the digits of k in the mixed radix orders, last fastest."""
+    return np.column_stack(np.unravel_index(np.arange(orders.prod()), orders))
 
-    Returns (gens, table) with gens = [(p^e, g, order), ...] and
-    table[x] a tuple of exponents for x in [0, p^e), or None for non-units.
+
+def _component_dlogs(p: int, e: int):
+    """Generator orders and discrete-log table for (Z/p^e)^*, p^e > 2.
+
+    Returns (orders, table): table[x, i] is the exponent of x on generator i
+    for x in [0, p^e), -1 for non-units.  Generators are the lifted
+    primitive root for odd p, and -1 (e >= 2) and 5 (e >= 3) for p = 2.
     """
     m = p**e
     if p == 2:
-        if e == 1:
-            return [], [() for _ in range(m)]  # trivial group
-        if e == 2:
-            table = [None] * m
-            table[1] = (0,)
-            table[3] = (1,)
-            return [(m, 3, 2)], table
-        half = 2 ** (e - 2)
-        table = [None] * m
-        v = 1
-        for b in range(half):
-            table[v] = (0, b)
-            table[m - v] = (1, b)
-            v = v * 5 % m
-        return [(m, m - 1, 2), (m, 5, half)], table
-    g = primitive_root(p, e)
-    order = (p - 1) * p ** (e - 1)
-    table = [None] * m
-    v = 1
-    for k in range(order):
-        table[v] = (k,)
-        v = v * g % m
-    return [(m, g, order)], table
+        gens = [(m - 1, 2), (5, m // 4)][:min(e - 1, 2)]
+    else:
+        gens = [(primitive_root(p, e), m - m // p)]
+    # prod_i g_i^k_i mod m in the mixed radix of k; powers by doubling
+    elems = np.ones(1, dtype=np.int64)
+    for g, o in gens:
+        pw = np.ones(1, dtype=np.int64)
+        while len(pw) < o:
+            pw = np.concatenate((pw, pw * pow(g, len(pw), m) % m))
+        elems = (elems[:, None] * pw[:o]).ravel() % m
+    orders = np.array([o for _, o in gens], dtype=np.int64)
+    table = np.full((m, len(gens)), -1, dtype=np.int64)
+    table[elems] = _mixed_radix(orders)
+    return orders, table
 
 
 def character_group(q: int) -> CharacterTable:
@@ -89,50 +90,22 @@ def character_group(q: int) -> CharacterTable:
         raise ResourceLimitError(f"q={q} beyond table budget {_Q_BUDGET}",
                                  estimate=q, budget=_Q_BUDGET)
     fac = factor(q)
-    gens: list = []
-    comp_tables = []
-    for p, e in fac.factors:
-        cg, ct = _component_dlogs(p, e)
-        comp_tables.append((p**e, len(cg), ct))
-        gens.extend(cg)
-
-    G = len(gens)
-    orders = np.array([o for (_, _, o) in gens], dtype=np.int64)
-    dlog = np.full((q, max(G, 1)), -1, dtype=np.int64)
-    unit_mask = np.zeros(q, dtype=bool)
-    for n in range(q):
-        if math.gcd(n, q) != 1:
-            continue
-        unit_mask[n] = True
-        col = 0
-        for m, ng, ct in comp_tables:
-            exps = ct[n % m]
-            for j in range(ng):
-                dlog[n, col + j] = exps[j]
-            col += ng
-    dlog = dlog[:, :G] if G else np.zeros((q, 0), dtype=np.int64)
-
-    phi = euler_phi(q)
-    # mixed-radix enumeration; index 0 has all exponents 0 (principal)
-    exponents = np.zeros((phi, G), dtype=np.int64)
-    if G:
-        idx = np.arange(phi, dtype=np.int64)
-        rem = idx.copy()
-        for j in range(G - 1, -1, -1):
-            exponents[:, j] = rem % orders[j]
-            rem //= orders[j]
-    return CharacterTable(q=q, factorization=fac, exponents=exponents, dlog=dlog,
-                          orders=orders if G else np.zeros(0, dtype=np.int64),
-                          unit_mask=unit_mask)
+    # (Z/2)^* is trivial and adds no generator
+    comps = [(p**e, *_component_dlogs(p, e)) for p, e in fac.factors if p**e > 2]
+    orders = np.concatenate([o for _, o, _ in comps])
+    n = np.arange(q)
+    unit_mask = np.gcd(n, q) == 1
+    dlog = np.concatenate([t[n % m] for m, _, t in comps], axis=1)
+    dlog[~unit_mask] = -1
+    # character c has the exponents of c in mixed radix; 0 is principal
+    return CharacterTable(q=q, factorization=fac, exponents=_mixed_radix(orders),
+                          dlog=dlog, orders=orders, unit_mask=unit_mask)
 
 
 def chi_values(table: CharacterTable, idx: int) -> np.ndarray:
     """chi_idx(n) for n = 0..q-1 as one complex array."""
     if not 0 <= idx < table.phi:
         raise ArgumentError(f"character index {idx} out of range [0, {table.phi})")
-    if table.exponents.shape[1] == 0:
-        vals = np.where(table.unit_mask, 1.0 + 0j, 0j)
-        return vals
     weights = table.exponents[idx].astype(np.float64) / table.orders.astype(np.float64)
     d = np.where(table.dlog >= 0, table.dlog, 0).astype(np.float64)
     phase = d @ weights
@@ -145,18 +118,17 @@ def is_primitive(table: CharacterTable, idx: int) -> bool:
     """True when no proper modulus induces chi_idx.
 
     chi is induced mod q/p iff chi(n) = 1 for every unit n = 1 (mod q/p);
-    primitivity = that fails for every prime p | q.
+    primitivity = that fails for every prime p | q.  With L = lcm(orders)
+    and w = exponents[idx] * (L / orders), chi(n) = e(dlog[n] . w / L), so
+    chi(n) = 1 iff dlog[n] . w = 0 (mod L): exact, in integers below 10^12.
     """
-    q = table.q
-    vals = chi_values(table, idx)
+    if not 0 <= idx < table.phi:
+        raise ArgumentError(f"character index {idx} out of range [0, {table.phi})")
+    L = np.lcm.reduce(table.orders)
+    w = table.exponents[idx] * (L // table.orders)
     for p, _ in table.factorization.factors:
-        step = q // p
-        trivial = True
-        for n in range(1 + step, q, step):
-            if table.unit_mask[n] and abs(vals[n] - 1.0) > 1e-12:
-                trivial = False
-                break
-        if trivial:
+        ns = np.arange(1, table.q, table.q // p)
+        if not np.any(table.dlog[ns[table.unit_mask[ns]]] @ w % L):
             return False
     return True
 
@@ -167,20 +139,6 @@ def gauss_sum(table: CharacterTable, idx: int, s: int) -> complex:
     vals = chi_values(table, idx)
     ls = np.arange(q, dtype=np.float64)
     return complex(np.sum(vals * np.exp(2j * np.pi * ((s % q) * ls / q))))
-
-
-def value_matrix(table: CharacterTable) -> np.ndarray:
-    """Full (phi, q) table of character values; small q only."""
-    if table.phi * table.q > 5 * 10**7:
-        raise ResourceLimitError("value matrix too large; evaluate per character",
-                                 estimate=table.phi * table.q, budget=5 * 10**7)
-    if table.exponents.shape[1] == 0:
-        return np.where(table.unit_mask, 1.0 + 0j, 0j)[None, :]
-    w = np.where(table.dlog >= 0, table.dlog, 0).astype(np.float64) / table.orders
-    phase = table.exponents.astype(np.float64) @ w.T
-    vals = np.exp(2j * np.pi * phase)
-    vals[:, ~table.unit_mask] = 0j
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class RunConfig:
             raise ArgumentError(f"threads: need >= 1, got {self.threads}")
         if self.output not in ("csv", "json"):
             raise ArgumentError(f"output: must be csv or json, got {self.output}")
-        for k in self.constants:
-            if k not in _DEFAULT_CONSTANTS:
-                raise ArgumentError(f"constants: unknown key {k!r}")
-        merged = dict(_DEFAULT_CONSTANTS)
-        merged.update(self.constants)
-        self.constants = merged
 
     def echo(self) -> dict:
         d = dataclasses.asdict(self)

@@ -5,7 +5,7 @@
 mu(d_{j+1}) ... mu(d_{2j}), valid whenever n <= V^k.  `hb_residual_scan`
 checks the identity over a whole initial segment using Dirichlet-convolution
 arrays instead of per-n tuple enumeration, looping over the sparse mu-blocks.
-`_tau_chain` builds tau_1..tau_k for it and for `tau_moment_constant`.
+`_tau_chain` builds tau_1..tau_k for it.
 
 `classify_exponents` and `classify_dyadic` decide which of the three range
 shapes (a single large factor, a balanced bilinear split, or three medium
@@ -152,16 +152,6 @@ def _tau_chain(k: int, nmax: int) -> np.ndarray:
             tau[:, pe::pe] = tau[:, pe::pe] * np.arange(e, e + k)[:, None] / e
             pe, e = pe * p, e + 1
     return tau
-
-
-def tau_moment_constant(k: int, xmax: int) -> float:
-    """Smallest c with sum_{n<=x} tau_k(n) <= c x (log x)^{k-1} on [100, xmax]."""
-    if k < 2 or xmax < 101:
-        raise ArgumentError("need k >= 2 and xmax > 100")
-    csum = np.cumsum(_tau_chain(k, xmax)[-1])
-    xs = np.arange(100, xmax + 1, dtype=np.float64)
-    ratios = csum[100:] / (xs * np.log(xs) ** (k - 1))
-    return float(np.max(ratios))
 
 
 def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:

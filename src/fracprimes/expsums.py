@@ -260,8 +260,7 @@ def exp_sum_primes(spec: ExpSumSpec, table=None) -> SumResult:
     return SumResult(value=block_sum(vals), count=int(len(ps)))
 
 
-def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow,
-                   table=None) -> WeightedSumResult:
+def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow) -> WeightedSumResult:
     """Lambda-weighted smoothed sum sum_n psi(n/X) Lambda(n) e(h n^alpha)
     over n = a (q), next to its sharp-cutoff counterpart for the same data.
 

@@ -14,7 +14,8 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from fracprimes.errors import AccuracyError, ArgumentError, StationaryPointError
+from fracprimes.errors import (AccuracyError, ArgumentError, ResourceLimitError,
+                               StationaryPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,111 @@ def chi_table_brute(q: int) -> list[list[complex]]:
             continue
         chars.append(row)
     return chars
+
+
+def _primitive_root_direct(p: int, e: int) -> int:
+    """The smallest g of multiplicative order p - 1 mod the odd prime p,
+    plus p when g^(p-1) = 1 (mod p^2), so that it generates (Z/p^e)^*."""
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // r, p) != 1 for r in trial_factor(p - 1)))
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def _component_dlogs_loop(p: int, e: int):
+    """Generators and discrete-log table for (Z/p^e)^*.
+
+    Returns (gens, table) with gens = [(p^e, g, order), ...] and
+    table[x] a tuple of exponents for x in [0, p^e), or None for non-units.
+    """
+    m = p**e
+    if p == 2:
+        if e == 1:
+            return [], [() for _ in range(m)]  # trivial group
+        if e == 2:
+            table = [None] * m
+            table[1] = (0,)
+            table[3] = (1,)
+            return [(m, 3, 2)], table
+        half = 2 ** (e - 2)
+        table = [None] * m
+        v = 1
+        for b in range(half):
+            table[v] = (0, b)
+            table[m - v] = (1, b)
+            v = v * 5 % m
+        return [(m, m - 1, 2), (m, 5, half)], table
+    g = _primitive_root_direct(p, e)
+    order = (p - 1) * p ** (e - 1)
+    table = [None] * m
+    v = 1
+    for k in range(order):
+        table[v] = (k,)
+        v = v * g % m
+    return [(m, g, order)], table
+
+
+def character_table_loop(q: int):
+    """(exponents, dlog, orders, unit_mask) of the characters mod q, one
+    residue at a time: each unit n gets the exponent tuples of n mod p^e
+    from per-component tuple tables, and the exponent vectors are the mixed
+    radix of the character index, last generator fastest."""
+    gens: list = []
+    comp_tables = []
+    for p, e in sorted(trial_factor(q).items()):
+        cg, ct = _component_dlogs_loop(p, e)
+        comp_tables.append((p**e, len(cg), ct))
+        gens.extend(cg)
+
+    G = len(gens)
+    orders = np.array([o for (_, _, o) in gens], dtype=np.int64)
+    dlog = np.full((q, max(G, 1)), -1, dtype=np.int64)
+    unit_mask = np.zeros(q, dtype=bool)
+    for n in range(q):
+        if math.gcd(n, q) != 1:
+            continue
+        unit_mask[n] = True
+        col = 0
+        for m, ng, ct in comp_tables:
+            exps = ct[n % m]
+            for j in range(ng):
+                dlog[n, col + j] = exps[j]
+            col += ng
+    dlog = dlog[:, :G] if G else np.zeros((q, 0), dtype=np.int64)
+
+    phi = phi_direct(q)
+    exponents = np.zeros((phi, G), dtype=np.int64)
+    if G:
+        idx = np.arange(phi, dtype=np.int64)
+        rem = idx.copy()
+        for j in range(G - 1, -1, -1):
+            exponents[:, j] = rem % orders[j]
+            rem //= orders[j]
+    return exponents, dlog, orders, unit_mask
+
+
+def primitive_count(q: int) -> int:
+    """Number of primitive characters mod q: the product over p^e || q of
+    p - 2 (e = 1) and p^(e-2) (p - 1)^2 (e >= 2)."""
+    out = 1
+    for p, e in trial_factor(q).items():
+        out *= p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2
+    return out
+
+
+def value_matrix(table) -> np.ndarray:
+    """Full (phi, q) table of character values; small q only."""
+    if table.phi * table.q > 5 * 10**7:
+        raise ResourceLimitError("value matrix too large; evaluate per character",
+                                 estimate=table.phi * table.q, budget=5 * 10**7)
+    if table.exponents.shape[1] == 0:
+        return np.where(table.unit_mask, 1.0 + 0j, 0j)[None, :]
+    w = np.where(table.dlog >= 0, table.dlog, 0).astype(np.float64) / table.orders
+    phase = table.exponents.astype(np.float64) @ w.T
+    vals = np.exp(2j * np.pi * phase)
+    vals[:, ~table.unit_mask] = 0j
+    return vals
 
 
 def chi_eval(table, idx: int, n: int) -> complex:

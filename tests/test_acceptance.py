@@ -26,8 +26,7 @@ import numpy as np
 import pytest
 
 from fracprimes.arith import euler_phi, primes_upto, sieve_primes
-from fracprimes.charkloost import (character_group, kloosterman, value_matrix,
-                                   weil_margin_table)
+from fracprimes.charkloost import character_group, kloosterman, weil_margin_table
 from fracprimes.decomp import (classify_exponents, hb_residual_scan,
                                verify_witness)
 from fracprimes.expsums import (FracWindow, MonomialPhase, bv_discrepancy,
@@ -38,6 +37,8 @@ from fracprimes.oscillatory import (gaussian_phase, make_first_phase,
                                     stationary_expand, stationary_point,
                                     window_from_bump)
 from fracprimes.smoothing import make_bump, make_partition, partition_sum
+
+from oracles import value_matrix
 
 # criterion -> runtime budget in seconds (asserted on the threads=1 run)
 BUDGETS = {1: 60, 2: 10, 3: 5, 4: 120, 5: 60, 6: 600, 7: 60, 8: 120, 9: 120,

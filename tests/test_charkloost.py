@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fracprimes.arith import euler_phi, primes_upto
 from fracprimes.charkloost import (character_group, chi_values, gauss_sum,
                                    is_primitive, kloosterman,
-                                   kloosterman_table, value_matrix,
+                                   kloosterman_table,
                                    weil_bound, weil_margin_table)
 from fracprimes.errors import ArgumentError, ResourceLimitError
 
 import oracles
+from oracles import value_matrix
 
 
 def _row_key(row):
@@ -27,6 +28,36 @@ def test_character_group_matches_brute_homomorphisms(q):
     lib = sorted(_row_key(chi_values(tbl, i)) for i in range(tbl.phi))
     brute = sorted(_row_key(row) for row in oracles.chi_table_brute(q))
     assert lib == brute
+
+
+@pytest.mark.parametrize("qs", [range(3, 401), [512, 729, 1024, 2048, 2187],
+                                [3072, 3125, 9973], [65536], [99991]],
+                         ids=["3..400", "2^9..3^7", "3072..9973", "2^16", "99991"])
+def test_character_group_matches_loop_oracle(qs):
+    for q in qs:
+        tbl = character_group(q)
+        want = dict(zip(("exponents", "dlog", "orders", "unit_mask"),
+                        oracles.character_table_loop(q)))
+        for name, arr in want.items():
+            got = getattr(tbl, name)
+            assert got.dtype == arr.dtype, (q, name)
+            assert np.array_equal(got, arr), (q, name)
+
+
+@pytest.mark.parametrize("qs", [range(3, 401), [2401, 3125, 4913]],
+                         ids=["3..400", "7^4,5^5,17^3"])
+def test_primitive_count_matches_product_formula(qs):
+    for q in qs:
+        tbl = character_group(q)
+        got = sum(is_primitive(tbl, i) for i in range(tbl.phi))
+        assert got == oracles.primitive_count(q), q
+
+
+def test_is_primitive_index_range():
+    tbl = character_group(7)
+    for idx in (-1, tbl.phi):
+        with pytest.raises(ArgumentError):
+            is_primitive(tbl, idx)
 
 
 def test_q5_order_four_character():

@@ -174,6 +174,17 @@ def test_gauss_cli(capsys):
     assert rec.values["abs"] == pytest.approx(math.sqrt(7), abs=1e-9)
 
 
+def test_gauss_cli_imprimitive_at_prime_power(capsys):
+    # induced from mod 625, so tau is 0; its phases run to about 1400 turns,
+    # where chi(n) = 1 cannot be told within 1e-12 in floating point
+    code, out, _ = run_cli(capsys, ["gauss", "--q", "3125", "--chi-index", "1415",
+                                    "--s", "1", "--output", "json"])
+    assert code == 0
+    rec = record_from_json(out)
+    assert rec.invariant_flags["primitive"] is False
+    assert rec.values["abs"] < 1e-6
+
+
 def test_oscint_gaussian_both(capsys):
     code, out, _ = run_cli(capsys, ["oscint", "--phase", "gaussian",
                                     "--Y", "200", "--t0", "1.5",

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import euler_phi, primes_upto
-from fracprimes.decomp import tau_moment_constant
 from fracprimes.errors import ArgumentError
 from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50,
                                 ExpSumSpec, FracWindow, MonomialPhase,
@@ -583,10 +582,3 @@ def test_block_sum_is_blockwise_in_order(n):
     assert type(got) is complex
     assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
-
-def test_tau_moment_constant():
-    c2 = tau_moment_constant(2, 20000)
-    # sum_{n<=x} tau(n) ~ x log x, so the fitted constant is ~1
-    assert 0.5 <= c2 <= 2.0
-    lam = tau_moment_constant(3, 20000)
-    assert lam > 0
