@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stationary-phase error against adaptive quadrature.
+"""Stationary-phase error against trapezoid-rule quadrature (`quad_osc`).
 
 Sweeps the Gaussian-phase family g(t) = -Y (t - t0)^2 over a geometric Y
 ladder and reports the relative error of the --terms-term expansion versus

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracprimes.arith import euler_phi, primes_upto
 from fracprimes.charkloost import (character_group, chi_values, gauss_sum,
-                                   is_primitive, kloosterman,
-                                   kloosterman_table,
+                                   is_primitive, kloosterman, kloosterman_table,
                                    weil_bound, weil_margin_table)
 from fracprimes.errors import ArgumentError, ResourceLimitError
 
