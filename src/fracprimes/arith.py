@@ -290,25 +290,6 @@ def mobius(n: int) -> int:
     return out
 
 
-def von_mangoldt(n: int) -> float:
-    """log p when n is a prime power p^k, else 0."""
-    if n < 1:
-        raise ArgumentError(f"von_mangoldt() needs n >= 1, got {n}")
-    f = factor(n).factors
-    if len(f) == 1:
-        return math.log(f[0][0])
-    return 0.0
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ArgumentError(f"euler_phi() needs n >= 1, got {n}")
-    out = n
-    for p, _ in factor(n).factors:
-        out -= out // p
-    return out
-
-
 def tau_k(n: int, k: int) -> int:
     """Number of ordered k-tuples of positive integers with product n."""
     if n < 1 or k < 1:

@@ -28,6 +28,7 @@ from .arith import FactoredInteger, factor, primitive_root, tau_k, unit_inverses
 from .errors import ArgumentError, ResourceLimitError
 
 _Q_BUDGET = 10**5
+_TABLE_Q_BUDGET = 4096   # a q x q float64 table: 2^24 entries, 134 MB
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,14 @@ def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
     u = 1 and for the non-units u only (for prime q, u = 0, where the row is
     the Ramanujan sums).  The sums are real, so the real parts are the
     table.  Returns (values, max |imag| seen) so callers can check realness.
+    q above 4096 raises ResourceLimitError before anything is allocated.
     """
     if q < 2:
         raise ArgumentError(f"need q >= 2, got {q}")
+    if q > _TABLE_Q_BUDGET:
+        raise ResourceLimitError(f"q={q} beyond Kloosterman table budget "
+                                 f"{_TABLE_Q_BUDGET}", estimate=q,
+                                 budget=_TABLE_Q_BUDGET)
     inv = unit_inverses(q)
     ls = np.flatnonzero(inv >= 0)
     us = np.concatenate(([1], np.flatnonzero(inv < 0)))

@@ -220,10 +220,10 @@ def _encode(obj):
     return obj
 
 
-def record_to_json(rec: ResultRecord, canonical: bool = False) -> str:
+def record_to_json(rec: ResultRecord) -> str:
+    """The canonical JSON record: elapsed_ms nulled, keys sorted."""
     d = dataclasses.asdict(rec)
-    if canonical:
-        d["elapsed_ms"] = None
+    d["elapsed_ms"] = None
     return json.dumps(_encode(d), sort_keys=True, indent=2) + "\n"
 
 
@@ -298,7 +298,7 @@ def _emit(rec: ResultRecord, args, cfg: RunConfig, body: str | None = None) -> N
     """Print the body under --output csv when there is one, else the
     canonical JSON record; write the same text to --out atomically."""
     if body is None or cfg.output != "csv":
-        body = record_to_json(rec, canonical=True)
+        body = record_to_json(rec)
     sys.stdout.write(body)
     if getattr(args, "out", None):
         atomic_write(args.out, body.encode("utf-8"))

@@ -4,9 +4,11 @@ second-derivative bound for monomial phases.
 Phase arguments h*n^alpha are reduced mod 1 in float64 up to 2**12 (error
 ~ value * 2^-52) and above that by `_anchored_frac`: exact 50-digit anchors
 and a float64 expansion around them, within the bound its docstring states
-(below 1e-11).  The anchors call `mpmath.libmp` as the mpf operators do, at
-the 50 digits of a private context (`_MP50`), never of the global `mpmath.mp`,
-so they are thread-safe.  Every float64 mod 1 is w - floor(w) (`frac_part`).
+(below 1e-11).  `monomial_frac` is the one place that picks the tier, for
+the sums here and for `oscillatory`'s second Poisson identity alike.  The
+anchors call `mpmath.libmp` as the mpf operators do, at the 50 digits of a
+private context (`_MP50`), never of the global `mpmath.mp`, so they are
+thread-safe.  Every float64 mod 1 is w - floor(w) (`frac_part`).
 
 The prime sums (`exp_sum_primes`, `weighted_sum_W`) and `phase_sum`
 accumulate through `block_sum`, which reduces fixed 2**16-element blocks in
@@ -94,15 +96,23 @@ def _anchored_frac(c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
     return frac_part(p0 + (p1 * k + tail))
 
 
+def monomial_frac(w: np.ndarray, c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
+    """frac(c (n + shift)^e) for an integer array n, given its float64 phases
+    w: w mod 1 where |w| <= REDUCTION_THRESHOLD, `_anchored_frac` above.  c
+    and e may be 50-digit mpmath values; the anchors then use them exactly."""
+    out = frac_part(w)
+    big = np.abs(w) > REDUCTION_THRESHOLD
+    if np.any(big):
+        out[big] = _anchored_frac(c, ns[big], e, shift)
+    return out
+
+
 def _reduce_monomial(h, ns: np.ndarray, alpha: float, shift=0.0) -> np.ndarray:
     """frac(h (n + shift)^alpha) for an integer array n, on both tiers."""
     ns = np.asarray(ns)
     w = ns + float(shift) if shift else ns.astype(np.float64)  # n + 0.0 is n
-    out = frac_part(np.multiply(h, np.power(w, alpha, out=w), out=w))
-    big = np.abs(w) > REDUCTION_THRESHOLD
-    if np.any(big):
-        out[big] = _anchored_frac(h, ns[big], alpha, shift)
-    return out
+    return monomial_frac(np.multiply(h, np.power(w, alpha, out=w), out=w),
+                         h, ns, alpha, shift)
 
 
 def reduced_phase_array(h, ns: np.ndarray, alpha: float) -> np.ndarray:

@@ -21,7 +21,9 @@ Four layers, bottom up:
   (`smoothing.bump_jet`) times the series of e(H) from g's derivatives.
 * `poisson_verify_first` / `poisson_verify_second` — both finite-vs-integral
   identities obtained by Poisson summation on a character-twisted smooth
-  sum, each side computed independently.
+  sum, each side computed independently, from one block construction
+  (`_snap`, `_block_range`, `_slot_weight`, `_poisson_s_sum`); the second
+  kind's phases take their tier from `expsums.monomial_frac`.
 
 A `PhaseModel` is g with exact derivatives and its stationary point in
 closed form.  Its `params` only records the constructor's arguments: to
@@ -39,7 +41,7 @@ import numpy as np
 from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
                      ResourceLimitError, StationaryPointError)
-from .expsums import REDUCTION_THRESHOLD, _MP50, _anchored_frac, frac_part, unit_phases
+from .expsums import _MP50, frac_part, monomial_frac, unit_phases
 from .smoothing import (JET_ORDER, BumpWindow, bump_jet, eval_bump,
                         eval_member, make_partition, series_exp, series_mul,
                         smoothstep_pair)
@@ -357,9 +359,9 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
 # ---------------------------------------------------------------------------
 # stationary phase
 
-def stationary_point(g: PhaseModel, window=None) -> float:
-    """The zero of g' by the phase's closed form; inside window if given."""
-    t0 = g.closed()[0]
+def _stationary(g: PhaseModel, window) -> tuple:
+    """g.closed() read once, its t0 checked to be in window and a zero of g'."""
+    t0, g0, g2 = g.closed()
     if window is not None and not window[0] <= t0 <= window[1]:
         raise StationaryPointError(
             f"stationary point {t0} outside window {window}")
@@ -368,13 +370,17 @@ def stationary_point(g: PhaseModel, window=None) -> float:
     if resid > 1e-10 * max(scale, 1e-300):
         raise InvariantViolation(
             f"stationary residual |g'(t0)| = {resid} exceeds 1e-10 * {scale}")
-    return float(t0)
+    return float(t0), g0, g2
+
+
+def stationary_point(g: PhaseModel, window=None) -> float:
+    """The zero of g' by the phase's closed form; inside window if given."""
+    return _stationary(g, window)[0]
 
 
 def stationary_values(g: PhaseModel, window=None) -> tuple[float, float]:
     """(g(t0), g''(t0)) at the zero of g'."""
-    stationary_point(g, window)
-    return g.closed()[1:]
+    return _stationary(g, window)[1:]
 
 
 def stationary_expand(w: BumpWindow, g: PhaseModel, n_terms: int = 1,
@@ -396,8 +402,7 @@ def stationary_expand(w: BumpWindow, g: PhaseModel, n_terms: int = 1,
     if not 1 <= n_terms <= 3:
         raise ArgumentError(f"n_terms must be 1..3, got {n_terms}")
     a, b = _window(window_from_bump(w), J)
-    t0 = stationary_point(g, (a, b))
-    g0, g2 = stationary_values(g, (a, b))
+    t0, g0, g2 = _stationary(g, (a, b))
     if g2 >= 0:
         raise ArgumentError("expansion implemented for g'' < 0 (conjugate "
                             "the phase otherwise)")
@@ -477,18 +482,6 @@ class PoissonCheck:
     meta: dict
 
 
-def _character_rows(q: int, chi_index: int):
-    """(chi(k), tau(chi; k)) for k = 0..q-1: the value row of character
-    chi_index mod q (q <= 50) and its Gauss sums by one inverse FFT."""
-    if q > 50:
-        raise ArgumentError(f"verification scale capped at q <= 50, got {q}")
-    table = character_group(q)
-    if not 0 <= chi_index < table.phi:
-        raise ArgumentError(f"chi_index {chi_index} out of range")
-    vals = chi_values(table, chi_index)
-    return vals, np.fft.ifft(vals) * q
-
-
 _THETA = 1.1        # ratio of the dyadic grid theta^l of the Poisson blocks
 _K_BUDGET = 10 ** 4
 
@@ -499,11 +492,33 @@ def _partition(X: float):
                                                    / math.log(_THETA))))
 
 
-def _snap(part, x: float) -> float:
-    """The grid value theta^l nearest to x on a log scale."""
+def _snap(part, x: float, name: str) -> float:
+    """The grid value theta^l nearest to the block scale x >= 1, on a log
+    scale; name spells x out in the ArgumentError for x < 1."""
+    if x < 1.0:
+        raise ArgumentError(f"derived block scale {name} = {x:.3g} < 1; "
+                            "increase X")
     theta = part.theta
     return theta ** part.index_of(
         theta ** round(math.log(x) / math.log(theta)))
+
+
+def _block_range(D: float, var: str) -> np.ndarray:
+    """The integers in [D/theta, D theta], the support of Psi_D; more than
+    _K_BUDGET of them raise ResourceLimitError."""
+    lo, hi = math.ceil(D / _THETA), math.floor(D * _THETA)
+    if hi - lo + 1 > _K_BUDGET:
+        raise ResourceLimitError(f"{hi - lo + 1} {var}-terms exceed {_K_BUDGET}",
+                                 estimate=hi - lo + 1, budget=_K_BUDGET)
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+def _slot_weight(X, umn, part, K, window, t):
+    """w(n, t) = log(x) Psi_K(x) psi(t), x = X t/(u m n), umn = u m n: the
+    k-slot weight log k times the k-block and the window."""
+    t = np.asarray(t, dtype=float)
+    x = X * t / umn
+    return np.log(x) * eval_member(part, K, x) * eval_bump(window, t)
 
 
 _A_TAIL = 8.0
@@ -534,13 +549,16 @@ def _tail_sum(sm: int, num: float, den: float, lead_peak: float, q: int,
     return float(acc[cut[0] if len(cut) else -1]) if len(acc) else 0.0
 
 
-def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
-                   phase_at, *, pref: float, slope: tuple, lead_peak: float,
+def _poisson_s_sum(q: int, chi_index: int, ns: np.ndarray, amp: np.ndarray,
+                   phases: np.ndarray, wmodel: WindowModel, phase_at, *,
+                   pref: float, slope: tuple, lead_peak: float,
                    g_lead: float, v_width: float, curv: float, T: float,
                    s_max: int | None, tol: float, label: str,
                    meta: dict) -> PoissonCheck:
-    """Check lhs against  pref * sum_{|s| <= s_max} tau(chi; s) I(s),
-    I(s) = int w e(g_s) over the support of w, g_s = phase_at(s).
+    """Check  sum_n chi(n) amp(n) phases(n)  over the block ns against
+    pref * sum_{|s| <= s_max} tau(chi; s) I(s),  I(s) = int w e(g_s) over the
+    support of w, g_s = phase_at(s); chi is character chi_index mod q (q <=
+    50) and tau(chi; s) its Gauss sums, from one inverse FFT of its row.
 
     g_s is a lead term minus the linear term (num/den) s t; slope = (num,
     den) stays a fraction so that the tail bound's num * s / den rounds
@@ -552,7 +570,14 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     meta["quad_err"] = |pref| sum_s |tau(chi; s)| err(s), err(s) =
     |T_N - T_{N/2}| for I(s), the last two levels of the trapezoid rule.
     """
-    q = len(gauss)
+    if q > 50:
+        raise ArgumentError(f"verification scale capped at q <= 50, got {q}")
+    table = character_group(q)
+    if not 0 <= chi_index < table.phi:
+        raise ArgumentError(f"chi_index {chi_index} out of range")
+    chiv = chi_values(table, chi_index)
+    gauss = np.fft.ifft(chiv) * q
+    lhs = complex(np.sum(chiv[ns % q] * amp * phases))
     lo, hi = wmodel.lo, wmodel.hi
     num, den = slope
     # tail machinery: |I(s)| for s beyond the window is bounded by repeated
@@ -603,7 +628,9 @@ def _poisson_s_sum(lhs: complex, gauss: np.ndarray, wmodel: WindowModel,
     diff = abs(lhs - rhs)
     return PoissonCheck(lhs=lhs, rhs=rhs, diff=diff, rel=diff / scale,
                         s_max=s_max, tail_bound=tail, empty_main_term=T < 1.0,
-                        meta={**meta, "quad_err": quad_err})
+                        meta={**meta, "chi_index": chi_index,
+                              "amp_l1": float(np.sum(np.abs(amp))),
+                              "quad_err": quad_err})
 
 
 def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
@@ -620,26 +647,12 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     reported tail bound.
     """
     _need_positive(q=q, u=u, m=m, n=n)
-    chiv, gauss = _character_rows(q, chi_index)
     umn = u * m * n
     part = _partition(X)
-    t_mid = 0.5 * (1 + window.y)
-    if X * t_mid / umn < 1.0:
-        raise ArgumentError(
-            f"derived block scale X*t/(u*m*n) = {X * t_mid / umn:.3g} < 1; "
-            "increase X or decrease u*m*n")
-    K = _snap(part, X * t_mid / umn)
-
-    k_lo = math.ceil(K / _THETA)
-    k_hi = math.floor(K * _THETA)
-    if k_hi - k_lo + 1 > _K_BUDGET:
-        raise ResourceLimitError(f"{k_hi - k_lo + 1} k-terms exceed {_K_BUDGET}",
-                                 estimate=k_hi - k_lo + 1, budget=_K_BUDGET)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    K = _snap(part, X * (0.5 * (1 + window.y)) / umn, "X*t/(u*m*n)")
+    ks = _block_range(K, "k")
     amp_k = (np.log(ks) * eval_member(part, K, ks.astype(float))
              * eval_bump(window, umn * ks / X))
-    lhs = complex(np.sum(chiv[ks % q] * amp_k
-                         * unit_phases(h, umn * ks, alpha)))
 
     # truncation scale: the t-integral oscillates against e(-Xst/(qumn));
     # stationary s stop near T2, tails decay like s^{-A}
@@ -648,13 +661,10 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
     t_lo = max(1.0 - 2 * window.delta, umn * K / (X * _THETA))
     t_hi = min(window.y + 2 * window.delta, umn * K * _THETA / X)
 
-    def w_t(t):
-        t = np.asarray(t, dtype=float)
-        x = X * t / umn
-        return np.log(x) * eval_member(part, K, x) * eval_bump(window, t)
-
     return _poisson_s_sum(
-        lhs, gauss, WindowModel(fn=w_t, lo=t_lo, hi=t_hi),
+        q, chi_index, ks, amp_k, unit_phases(h, umn * ks, alpha),
+        WindowModel(fn=partial(_slot_weight, X, umn, part, K, window),
+                    lo=t_lo, hi=t_hi),
         partial(make_first_phase, h, X, alpha, q, u, m, n),
         pref=X / (q * umn), slope=(X, q * umn),
         lead_peak=alpha * h * X ** alpha * t_lo ** (alpha - 1),
@@ -663,9 +673,7 @@ def poisson_verify_first(q: int, u: int, m: int, n: int, chi_index: int,
         curv=alpha * (1 - alpha) * h * X ** alpha * t_lo ** (alpha - 2),
         T=tw.T2, s_max=s_max, tol=tol, label="s",
         meta={"q": q, "u": u, "m": m, "n": n, "h": h, "alpha": alpha, "X": X,
-              "K": K, "theta": _THETA, "chi_index": chi_index,
-              "k_terms": int(len(ks)),
-              "amp_l1": float(np.sum(np.abs(amp_k))),
+              "K": K, "theta": _THETA, "k_terms": int(len(ks)),
               "t_support": (t_lo, t_hi)})
 
 
@@ -679,31 +687,27 @@ def _second_t0(nv, X, alpha, h, q, u, m, s):
 def _second_amplitudes(X, alpha, h, q, u, m, s, window, part, N, K):
     """The amplitude of the second identity in both variables.
 
-    amp_n(n)   = n^{b/2-1} Psi_N(n) w_n(t0(n)),
-    w_tau(tau) = Psi_N(n) tau^{b/2-1} w_n(tau^{1/(1-a)}),
+    amp_n(n)   = n^{b/2-1} Psi_N(n) w(n, t0(n)),
+    w_tau(tau) = Psi_N(n) tau^{b/2-1} w(n, tau^{1/(1-a)}),
     n = n(tau) = s X^{1-a} tau / (a h q u m),
-    with w_n(t) = log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t); the n-slot weight
-    is 1 and the k-slot weight log k.
+    with w(n, t) the slot weight `_slot_weight`; the n-slot weight is 1 and
+    the k-slot weight log k.
     """
     cst = alpha_constants(alpha)
-
-    def w_n(nv, t):
-        t = np.asarray(t, dtype=float)
-        x = X * t / (u * m * nv)
-        return np.log(x) * eval_member(part, K, x) * eval_bump(window, t)
 
     def amp_n(nv):
         nv = np.asarray(nv, dtype=float)
         t0s = _second_t0(nv, X, alpha, h, q, u, m, s)
-        return (np.power(nv, cst.beta / 2 - 1)
-                * eval_member(part, N, nv) * w_n(nv, t0s))
+        return (np.power(nv, cst.beta / 2 - 1) * eval_member(part, N, nv)
+                * _slot_weight(X, u * m * nv, part, K, window, t0s))
 
     def w_tau(taus):
         taus = np.asarray(taus, dtype=float)
         nv = s * X ** (1 - alpha) * taus / (alpha * h * q * u * m)
         return (eval_member(part, N, nv)
                 * np.power(taus, cst.beta / 2 - 1)
-                * w_n(nv, np.power(taus, cst.delta)))
+                * _slot_weight(X, u * m * nv, part, K, window,
+                               np.power(taus, cst.delta)))
 
     return amp_n, w_tau
 
@@ -714,14 +718,14 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
                           tol: float = 1e-6) -> PoissonCheck:
     """Check the second summation identity
 
-      sum_n chi(n) n^{b/2-1} Psi_N(n) w_n(t0(n)) e(Phi(n))
+      sum_n chi(n) n^{b/2-1} Psi_N(n) w(n, t0(n)) e(Phi(n))
         = (1/q) (s X^{1-a}/(a h q u m))^{b/2} sum_sig tau(chi; sig) J(sig),
 
     where t0(n) = (a h q u m n / s)^{1/(1-a)} / X is the interior critical
     point, Phi(n) = (1-a)(a^a h)^{1/(1-a)} (q u m n / s)^{a/(1-a)} its phase
-    value, w_n(t) = log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t), and
+    value, w(n, t) = log(Xt/(umn)) Psi_K(Xt/(umn)) psi(t), and
 
-      J(sig) = int Psi_N(n(T)) T^{b/2-1} w_{n(T)}(T^{1/(1-a)})
+      J(sig) = int Psi_N(n(T)) T^{b/2-1} w(n(T), T^{1/(1-a)})
                e((1-a) h X^a T^{a/(1-a)} - X^{1-a} s sig T/(a h q^2 u m)) dT
 
     with n(T) = s X^{1-a} T / (a h q u m); the n-slot weight is 1 and the
@@ -731,7 +735,6 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     _need_positive(s=s, q=q, u=u, m=m)
     if not h > 0:  # the critical point (a h q u m n / s)^{1/(1-a)} is real
         raise ArgumentError(f"the second-kind critical point needs h > 0, got {h}")
-    chiv, gauss = _character_rows(q, chi_index)
     cst = alpha_constants(alpha)
     beta, gamma, delta = cst.beta, cst.gamma, cst.delta
 
@@ -739,34 +742,22 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     # place the critical point of the n-sum mid-plateau
     n_star = s * X ** (1 - alpha) * (0.5 * (1 + window.y)) ** (1 / delta) \
         / (alpha * h * q * u * m)
-    N = _snap(part, n_star)
+    N = _snap(part, n_star, "s X^(1-a) t^(1-a)/(a h q u m)")
     aq = alpha * h * q * u * m
 
-    k_star = X * float(_second_t0(N, X, alpha, h, q, u, m, s)) / (u * m * N)
-    if k_star < 1.0:
-        raise ArgumentError(
-            f"derived block scale X*t0/(u*m*N) = {k_star:.3g} < 1; "
-            "the N-block is too wide for this (h, s, X) combination")
-    K = _snap(part, k_star)
+    K = _snap(part, X * float(_second_t0(N, X, alpha, h, q, u, m, s))
+              / (u * m * N), "X*t0/(u*m*N)")
     amp_n, w_tau = _second_amplitudes(X, alpha, h, q, u, m, s, window, part,
                                       N, K)
 
-    # ----- lhs: finite n-sum ------------------------------------------------
-    n_lo = math.ceil(N / _THETA)
-    n_hi = math.floor(N * _THETA)
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    amp = amp_n(ns)
-    phi_scale = (1 - alpha) * (alpha ** alpha * h) ** delta
-    phi_vals = phi_scale * np.power(q * u * m * ns.astype(float) / s, gamma)
-    big = np.abs(phi_vals) > REDUCTION_THRESHOLD
-    ph = frac_part(phi_vals)
-    if np.any(big):
-        a = _MP50.mpf(alpha)
-        ex = a / (1 - a)
-        sc = (1 - a) * (a ** alpha * h) ** (1 / (1 - a))
-        ph[big] = _anchored_frac(sc * _MP50.power(_MP50.mpf(q * u * m) / s, ex),
-                                 ns[big], ex)
-    lhs = complex(np.sum(chiv[ns % q] * amp * np.exp(2j * np.pi * ph)))
+    # ----- lhs: the n-block; Phi(n) = c n^{a/(1-a)}, c in 50 digits --------
+    ns = _block_range(N, "n")
+    phi = (1 - alpha) * (alpha ** alpha * h) ** delta \
+        * np.power(q * u * m * ns.astype(float) / s, gamma)
+    a = _MP50.mpf(alpha)
+    ex = a / (1 - a)
+    c = (1 - a) * (a ** alpha * h) ** (1 / (1 - a)) \
+        * _MP50.power(_MP50.mpf(q * u * m) / s, ex)
 
     # ----- rhs: sigma-sum of transformed integrals --------------------------
     tw = truncation_windows(alpha, h, u, m, N, q, X, s=s)
@@ -775,7 +766,9 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
     phase_at = partial(make_second_phase, h, X, alpha, q, u, m, s)
     lead = (1 - alpha) * h * X ** alpha
     return _poisson_s_sum(
-        lhs, gauss, WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
+        q, chi_index, ns, amp_n(ns), np.exp(2j * np.pi * monomial_frac(
+            phi, c, ns, ex)),
+        WindowModel(fn=w_tau, lo=tau_lo, hi=tau_hi),
         phase_at, pref=(s * X ** (1 - alpha) / aq) ** (beta / 2) / q,
         slope=(X ** (1 - alpha) * s / (alpha * h * q ** 2 * u * m), 1.0),
         lead_peak=float(np.max(np.abs(lead * gamma * np.power(
@@ -785,8 +778,6 @@ def poisson_verify_second(q: int, u: int, m: int, s: int, chi_index: int,
         curv=abs(float(phase_at(1).dg(0.5 * (tau_lo + tau_hi), 2))),
         T=tw.T4, s_max=sigma_max, tol=tol, label="sigma",
         meta={"q": q, "u": u, "m": m, "s": s, "h": h, "alpha": alpha, "X": X,
-              "N": N, "K": K, "theta": _THETA, "chi_index": chi_index,
-              "n_terms": int(len(ns)),
-              "amp_l1": float(np.sum(np.abs(amp))),
+              "N": N, "K": K, "theta": _THETA, "n_terms": int(len(ns)),
               "tau_support": (tau_lo, tau_hi), "T3": tw.T3, "T4": tw.T4})
 

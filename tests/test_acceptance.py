@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fracprimes.arith import euler_phi, primes_upto, sieve_primes
+from fracprimes.arith import primes_upto, sieve_primes
 from fracprimes.charkloost import character_group, kloosterman, weil_margin_table
 from fracprimes.decomp import (classify_exponents, hb_residual_scan,
                                verify_witness)
@@ -38,7 +38,7 @@ from fracprimes.oscillatory import (gaussian_phase, make_first_phase,
                                     window_from_bump)
 from fracprimes.smoothing import make_bump, make_partition, partition_sum
 
-from oracles import value_matrix
+from oracles import phi_direct, value_matrix
 
 # criterion -> runtime budget in seconds (asserted on the threads=1 run)
 BUDGETS = {1: 60, 2: 10, 3: 5, 4: 120, 5: 60, 6: 600, 7: 60, 8: 120, 9: 120,
@@ -455,7 +455,7 @@ def _criterion_9(threads: int):
     def per_q(q):
         cI = np.bincount(pe % q, minlength=q)
         cP = np.bincount(ps % q, minlength=q)
-        expected_even = len(pe) / euler_phi(q)
+        expected_even = len(pe) / phi_direct(q)
         worst = worst_a = -1
         worst_even = 0.0
         for a in range(q):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import (FactoredInteger, divisors, euler_phi, factor,
+from fracprimes.arith import (FactoredInteger, divisors, factor,
                               is_prime, load_sieve, mobius,
                               mobius_range, primes_upto, primitive_root,
                               save_sieve, sieve_primes, smallest_factor_range,
-                              tau_k, unit_inverses, von_mangoldt,
-                              von_mangoldt_range)
+                              tau_k, unit_inverses, von_mangoldt_range)
 from fracprimes.errors import ArgumentError, ResourceLimitError
 
 import oracles
@@ -176,16 +175,10 @@ def test_mobius_multiplicative_on_coprimes():
                 assert mobius(m * n) == mobius(m) * mobius(n)
 
 
-def test_euler_phi_matches_unit_count():
-    for q in range(1, 200):
-        assert euler_phi(q) == oracles.phi_direct(q)
-
-
 def test_von_mangoldt_values():
     vr = von_mangoldt_range(200)
     for n in range(1, 201):
         lam = oracles.von_mangoldt_direct(n)
-        assert abs(von_mangoldt(n) - lam) < 1e-12
         assert abs(vr[n] - lam) < 1e-12
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import euler_phi, primes_upto
+from fracprimes.arith import primes_upto
 from fracprimes.charkloost import (character_group, chi_values, gauss_sum,
                                    is_primitive, kloosterman, kloosterman_table,
                                    weil_bound, weil_margin_table)
@@ -23,7 +23,7 @@ def _row_key(row):
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 12, 15, 16, 21, 24, 36])
 def test_character_group_matches_brute_homomorphisms(q):
     tbl = character_group(q)
-    assert tbl.phi == euler_phi(q)
+    assert tbl.phi == oracles.phi_direct(q)
     lib = sorted(_row_key(chi_values(tbl, i)) for i in range(tbl.phi))
     brute = sorted(_row_key(row) for row in oracles.chi_table_brute(q))
     assert lib == brute
@@ -164,7 +164,7 @@ def test_value_matrix_orthogonality(q):
     G = V @ V.conj().T
     assert np.allclose(G, tbl.phi * np.eye(tbl.phi) * 0 + np.diag(np.diag(G)),
                        atol=1e-9)
-    assert np.allclose(np.diag(G).real, euler_phi(q), atol=1e-9)
+    assert np.allclose(np.diag(G).real, oracles.phi_direct(q), atol=1e-9)
     # columns: projector onto each unit residue
     P = V.conj().T @ V / tbl.phi
     expect = np.zeros((q, q))
@@ -285,7 +285,15 @@ def test_tables_match_unit_gather_and_q2_bound_bitwise(q):
 
 def test_degenerate_kloosterman_is_phi():
     for q in (7, 12):
-        assert abs(kloosterman(q, 0, 0).value - euler_phi(q)) <= 1e-12
+        assert abs(kloosterman(q, 0, 0).value - oracles.phi_direct(q)) <= 1e-12
+
+
+def test_kloosterman_table_budget():
+    # q = 4099 would allocate a 4099 x 4099 table: refused before that
+    for table in (kloosterman_table, weil_margin_table):
+        with pytest.raises(ResourceLimitError) as exc:
+            table(4099)
+        assert (exc.value.estimate, exc.value.budget) == (4099, 4096)
 
 
 def test_character_group_budget():

@@ -1,9 +1,13 @@
 import argparse
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,16 +275,14 @@ def test_record_roundtrip_with_complex():
                        version="0")
     text = record_to_json(rec)
     back = record_from_json(text)
-    assert back == rec
+    assert back == dataclasses.replace(rec, elapsed_ms=None)
 
 
 def test_canonical_json_nulls_elapsed():
     rec = ResultRecord(command="demo", params={}, values={},
                        invariant_flags={}, elapsed_ms=42.0, version="0")
-    d = json.loads(record_to_json(rec, canonical=True))
-    assert d["elapsed_ms"] is None
     d = json.loads(record_to_json(rec))
-    assert d["elapsed_ms"] == 42.0
+    assert d["elapsed_ms"] is None
 
 
 def test_cli_stdout_is_canonical_timing_on_stderr(capsys):
@@ -590,6 +592,24 @@ def test_exit_code_resource_limit(capsys):
                                     "4000000000"])
     assert code == 4
     assert "resource limit" in err
+
+
+def test_kloosterman_table_over_budget_exits_4():
+    # the (q, q) table at q = 10^5 would take ~90 GiB: it must be refused
+    # before allocating; a 3 GiB address-space cap on the child process
+    # turns an attempt into a MemoryError (exit 1) instead of a host OOM
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "fracprimes.cli",
+                           "kloosterman", "--q", "100000", "--table",
+                           "--output", "json"], capture_output=True,
+                          text=True, preexec_fn=cap, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(
+                              os.path.dirname(cli.__file__))})
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "beyond Kloosterman table budget" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

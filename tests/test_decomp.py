@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import mobius_range, von_mangoldt
+from fracprimes.arith import mobius_range
 from fracprimes.decomp import (DyadicTuple, TypeWitness, _dirichlet_convolve,
                                _tau_chain, classify_dyadic,
                                classify_exponents, hb_residual_scan,
@@ -76,7 +76,7 @@ def test_hb_residual_scan_small():
 def test_hb_signed_totals_equal_lambda():
     totals = hb_signed_total_range(300)
     for n in range(2, 301):
-        assert abs(totals[n] - von_mangoldt(n)) <= 1e-9
+        assert abs(totals[n] - oracles.von_mangoldt_direct(n)) <= 1e-9
 
 
 def test_hb_budget_guard():

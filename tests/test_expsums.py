@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracprimes.arith import euler_phi, primes_upto
+from fracprimes.arith import primes_upto
 from fracprimes.errors import ArgumentError
 from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50,
                                 ExpSumSpec, FracWindow, MonomialPhase,
@@ -403,7 +403,7 @@ def test_bv_rows_match_gcd_loop_with_ties():
         counts = [0] * q
         for p in pe:
             counts[p % q] += 1
-        expected = len(pe) / euler_phi(q)
+        expected = len(pe) / oracles.phi_direct(q)
         worst_a, worst = -1, -1.0
         for a in range(1, q):
             if math.gcd(a, q) == 1:

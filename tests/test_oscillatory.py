@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracprimes.oscillatory as osc
 from fracprimes.errors import (AccuracyError, ArgumentError,
-                               StationaryPointError)
+                               ResourceLimitError, StationaryPointError)
 from fracprimes.oscillatory import (_THETA, PhaseModel, WindowModel,
                                     _partition, _power_phase,
                                     _second_amplitudes,
@@ -556,6 +556,15 @@ def test_poisson_second_principal():
     res = poisson_verify_second(tol=1e-4, **_second_principal_case())
     assert res.rel <= 1e-5
     assert res.meta["T3"] == pytest.approx(0.5, abs=0.2)
+
+
+def test_poisson_second_block_budget():
+    # N ~ 1.8e5 puts 19,468 integers in the n-block, beyond the 10^4 budget
+    # the first kind's k-block has
+    with pytest.raises(ResourceLimitError) as exc:
+        poisson_verify_second(q=3, u=1, m=1, s=1, chi_index=1, h=12,
+                              alpha=0.1, X=10 ** 6, window=BUMP, sigma_max=4)
+    assert (exc.value.estimate, exc.value.budget) == (19468, 10 ** 4)
 
 
 def second_change_of_variables_check(q: int, u: int, m: int, s: int, sigma: int,
