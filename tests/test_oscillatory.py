@@ -559,8 +559,8 @@ def test_poisson_second_principal():
 
 
 def test_poisson_second_block_budget():
-    # N ~ 1.8e5 puts 19,468 integers in the n-block, beyond the 10^4 budget
-    # the first kind's k-block has
+    # N ~ 1.02e5 puts 19,468 integers in the n-block, beyond the 10^4-term
+    # block budget
     with pytest.raises(ResourceLimitError) as exc:
         poisson_verify_second(q=3, u=1, m=1, s=1, chi_index=1, h=12,
                               alpha=0.1, X=10 ** 6, window=BUMP, sigma_max=4)
