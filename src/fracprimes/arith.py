@@ -387,24 +387,24 @@ def mobius_range(nmax: int) -> np.ndarray:
     return mu
 
 
-def von_mangoldt_range(nmax: int) -> np.ndarray:
-    """Lambda[n] for 0 <= n <= nmax as float64.
-
-    log p is math.log at each prime (np.log can differ in the last bit),
-    converted 4096 primes at a time so that no Python list of every log is
-    built, then copied to every p^k <= nmax.
+def von_mangoldt_range(nmax: int, lo: int = 0) -> np.ndarray:
+    """Lambda[n] for lo <= n <= nmax as float64, at index n - lo, sieving only
+    [lo, nmax].  log p is math.log (np.log can differ in the last bit), taken
+    4096 primes at a time so that no Python list of every log is built, and
+    at each p <= sqrt(nmax) for its powers p^k in [lo, nmax].
     """
-    if nmax < 1:
-        raise ArgumentError(f"need nmax >= 1, got {nmax}")
-    lam = np.zeros(nmax + 1, dtype=np.float64)
-    ps = primes_upto(nmax)
+    if not 0 <= lo <= nmax or nmax < 1:
+        raise ArgumentError(f"need nmax >= 1 and 0 <= lo <= nmax, got lo={lo} nmax={nmax}")
+    lam = np.zeros(nmax - lo + 1, dtype=np.float64)
+    ps = sieve_primes(max(lo, 2), nmax + 1).primes() if nmax > 1 else []
     for i in range(0, len(ps), 4096):
         chunk = ps[i : i + 4096]
-        lam[chunk] = np.fromiter(map(math.log, chunk.tolist()),
-                                 dtype=np.float64, count=len(chunk))
-    for p in ps[: np.searchsorted(ps, math.isqrt(nmax), "right")].tolist():
+        lam[chunk - lo] = np.fromiter(map(math.log, chunk.tolist()),
+                                      dtype=np.float64, count=len(chunk))
+    for p in primes_upto(math.isqrt(nmax)).tolist():
         pk = p * p
         while pk <= nmax:
-            lam[pk] = lam[p]
+            if pk >= lo:
+                lam[pk - lo] = math.log(p)
             pk *= p
     return lam

@@ -10,17 +10,18 @@ the component generators; evaluation is a dot product with the discrete
 logs, so chi(n) costs O(#generators) inside hot loops.  Primitivity is
 decided on the integer exponents alone, with no character values.
 
-Kloosterman sums are evaluated directly over units (O(q)).  The all-(u,v)
-table for a fixed q gathers every unit row from the one unit row
-K[w] = S_q(1, w), a single length-q FFT, since S_q(u, v) = S_q(1, uv) for
-units u; only the non-unit rows (row 0 alone for prime q) get a length-q FFT
-of their own.  That keeps the exhaustive Weil-bound sweeps cheap.
+Kloosterman sums are evaluated directly over units (O(q)).  All-(u,v) tables
+come from `kloosterman_rows`: length-q FFTs of the unit row K[w] = S_q(1, w)
+and of each non-unit row (row 0 alone for prime q), and uv mod q in int32.
+As S_q(u, v) = S_q(1, uv), unit rows are gathered from K, and their Weil
+margins, whose bound B is one number, from the one margin row B - |K|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,18 +179,32 @@ def kloosterman(q: int, u: int, v: int) -> KloostermanValue:
                             weil_bound=weil_bound(q, u, v))
 
 
-def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
-    """All S_q(u, v) for (u, v) in [0, q)^2 from one batch of length-q FFTs.
+class KloostermanRows(NamedTuple):
+    """The length-q FFT rows that all S_q(u, v) mod q are gathered from."""
 
-    For a unit u, S_q(u, v) = S_q(1, uv) (substitute l -> l u^{-1}), so every
-    row is first gathered from K[w] = S_q(1, w) at w = uv mod q.  A row u is
-    the FFT along v of x_u[l^{-1}] = e(-u l / q) over units l, which gives
-    sum_l e(-(u l + v l^{-1})/q) = conj(S_q(u, v)); that FFT is taken for
-    u = 1 and for the non-units u only (for prime q, u = 0, where the row is
-    the Ramanujan sums).  The sums are real, so the real parts are the
-    table.  Returns (values, max |imag| seen) so callers can check realness.
-    q above 4096 raises ResourceLimitError before anything is allocated.
-    """
+    us: np.ndarray       # 1, then the non-units
+    fft: np.ndarray      # row i is conj(S_q(us[i], v)) over v; K = fft[0].real
+    uv: np.ndarray       # u v mod q (int32): unit row u is K[uv[u]]
+
+    def margins(self) -> np.ndarray:
+        """weil_bound(q, u, v) - |S_q(u, v)|, bounded on d = gcd(u, q), as
+        gcd(u, v, q) = gcd(d_u, d_v).  A unit row has d_u = 1 and one bound
+        B, so it is gathered from the one margin row B - |K|."""
+        q, us, rows = len(self.uv), self.us[1:], self.fft.real
+        d, at = np.unique(np.gcd(np.arange(q), q), return_inverse=True)
+        bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(np.gcd.outer(d, d).astype(float))
+        margins = (bound[0, 0] - np.abs(rows[0]))[self.uv]   # d[0] = 1
+        margins[us] = bound[at[us]][:, at] - np.abs(rows[1:])
+        return margins
+
+
+def kloosterman_rows(q: int) -> KloostermanRows:
+    """The rows of all S_q(u, v) from one batch of length-q FFTs, as
+    S_q(u, v) = S_q(1, uv) for units u.  Row u is the FFT along v of
+    x_u[l^{-1}] = e(-u l / q) over units l, which gives conj(S_q(u, v)); it
+    is taken for u = 1 and the non-units only (for prime q, u = 0: the
+    Ramanujan sums).  q above 4096 raises ResourceLimitError before anything
+    is allocated."""
     if q < 2:
         raise ArgumentError(f"need q >= 2, got {q}")
     if q > _TABLE_Q_BUDGET:
@@ -201,19 +216,20 @@ def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
     us = np.concatenate(([1], np.flatnonzero(inv < 0)))
     x = np.zeros((len(us), q), dtype=np.complex128)
     x[:, inv[ls]] = np.exp(-2j * np.pi * (np.outer(us, ls) % q) / q)
-    F = np.fft.fft(x, axis=1)
-    uv = np.outer(np.arange(q), np.arange(q))
+    uv = np.outer(n := np.arange(q, dtype=np.int32), n)  # q^2 <= 2^24
     uv -= uv // q * q                   # libdivide; numpy's % is slower
+    return KloostermanRows(us, np.fft.fft(x, axis=1), uv)
+
+
+def kloosterman_table(q: int) -> tuple[np.ndarray, float]:
+    """All S_q(u, v) for (u, v) in [0, q)^2 (the real parts of the rows), and
+    the largest |imaginary part| seen, so callers can check realness."""
+    us, F, uv = kloosterman_rows(q)
     vals = F[0].real[uv]
     vals[us[1:]] = F[1:].real
     return vals, float(np.max(np.abs(F.imag)))
 
 
 def weil_margin_table(q: int) -> np.ndarray:
-    """margin[u, v] = weil_bound(q,u,v) - |S_q(u,v)| for all u, v, with the
-    bound taken on the distinct d = gcd(u, q): gcd(u, v, q) = gcd(d_u, d_v)."""
-    vals, _ = kloosterman_table(q)
-    d, at = np.unique(np.gcd(np.arange(q), q), return_inverse=True)
-    bound = tau_k(q, 2) * np.sqrt(q) * np.sqrt(np.gcd.outer(d, d).astype(float))
-    np.abs(vals, out=vals)
-    return np.subtract(bound[at][:, at], vals, out=vals)
+    """margin[u, v] = weil_bound(q, u, v) - |S_q(u, v)| for all u, v."""
+    return kloosterman_rows(q).margins()

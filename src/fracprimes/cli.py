@@ -32,7 +32,7 @@ from . import __version__
 from .arith import (atomic_write, load_sieve, save_sieve, sieve_header,
                     sieve_primes)
 from .charkloost import (character_group, gauss_sum, is_primitive,
-                         kloosterman, kloosterman_table, weil_margin_table)
+                         kloosterman, kloosterman_rows, weil_margin_table)
 from .decomp import (DyadicTuple, classify_dyadic, classify_exponents,
                      heath_brown_terms, hb_residual_scan)
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
@@ -427,11 +427,12 @@ def cmd_classify(args, cfg: RunConfig):
 def cmd_kloosterman(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 5
     if args.table:
-        vals, imag_max = kloosterman_table(q)
-        margins = weil_margin_table(q)
+        rows = kloosterman_rows(q)
+        margins = rows.margins()
+        imag_max = float(np.max(np.abs(rows.fft.imag)))
         return ({"q": q, "table": True},
                 {"min_margin": float(margins.min()),
-                 "max_abs": float(np.abs(vals).max()),
+                 "max_abs": float(np.abs(rows.fft.real).max()),  # each unit row permutes K
                  "imag_residual": float(imag_max)},
                 {"weil_ok": bool((margins >= -1e-9).all()),
                  "real_ok": bool(imag_max <= 1e-8)})

@@ -51,18 +51,17 @@ class HBTermList:
         return float(sum(t.sign * t.binom * t.weight for t in self.terms))
 
 
-def _capped_tuples(n, slots, cap, divs_cache):
-    """Ordered tuples (d_1..d_slots) with product n; entries <= cap if cap."""
+def _capped_tuples(m, slots, cap, divs, memo) -> list:
+    """Ordered tuples (d_1..d_slots) with product m, entries <= cap if cap, in
+    lexicographic order; m divides n, whose sorted divisors are divs.  Each
+    (m, slots, cap) is enumerated once, into memo."""
     if slots == 0:
-        if n == 1:
-            yield ()
-        return
-    if n not in divs_cache:
-        divs_cache[n] = divisors(n)
-    for d in divs_cache[n]:
-        if cap is not None and d > cap:
-            break
-        yield from ((d,) + rest for rest in _capped_tuples(n // d, slots - 1, cap, divs_cache))
+        return [()] if m == 1 else []
+    if (m, slots, cap) not in memo:
+        memo[m, slots, cap] = [
+            (d,) + rest for d in divs if m % d == 0 and (cap is None or d <= cap)
+            for rest in _capped_tuples(m // d, slots - 1, cap, divs, memo)]
+    return memo[m, slots, cap]
 
 
 def _term_budget_estimate(n: int, k: int) -> int:
@@ -95,7 +94,9 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None,
             f"term census estimate {est} exceeds budget {budget} for n={n}",
             estimate=est, budget=budget)
 
-    divs_cache: dict = {}
+    divs = divisors(n)
+    mu = {d: mobius(d) for d in divs if d <= V}
+    memo: dict = {}
     terms = []
     omitted = 0
     for j in range(1, k + 1):
@@ -103,27 +104,19 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None,
         binom = math.comb(k, j)
         # split product n = a * b over the free block (j slots) and the
         # truncated block (j slots, entries <= V)
-        for b in divisors(n):
-            free_part = n // b
-            for capped in _capped_tuples(b, j, V, divs_cache):
-                mu_prod = 1
-                for d in capped:
-                    m = mobius(d)
-                    if m == 0:
-                        mu_prod = 0
-                        break
-                    mu_prod *= m
+        for b in divs:
+            for capped in _capped_tuples(b, j, V, divs, memo):
+                free = _capped_tuples(n // b, j, None, divs, memo)
+                mu_prod = math.prod(mu[d] for d in capped)
                 if mu_prod == 0:
                     # every completion of the free block is a zero term
-                    omitted += tau_k(free_part, j)
+                    omitted += len(free)
                     continue
-                for free in _capped_tuples(free_part, j, None, divs_cache):
-                    if free[0] == 1:
-                        omitted += 1
-                        continue
-                    weight = math.log(free[0]) * mu_prod
-                    terms.append(HBTerm(sign=sign, binom=binom, d=free + capped,
-                                        weight=weight))
+                # lexicographic: the tuples with d_1 = 1 (zero weight) lead
+                ones = len(_capped_tuples(n // b, j - 1, None, divs, memo))
+                omitted += ones
+                terms.extend(HBTerm(sign, binom, f + capped, math.log(f[0]) * mu_prod)
+                             for f in free[ones:])
     return HBTermList(n=n, k=k, V=V, terms=tuple(terms), omitted_zero_weight=omitted)
 
 

@@ -275,7 +275,8 @@ def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow) -> WeightedSumResult:
     over n = a (q), next to its sharp-cutoff counterpart for the same data.
 
     The window plateau must be [1, Y/X] so the smooth sum dominates the
-    sharp one exactly on the transition bands.
+    sharp one exactly on the transition bands.  Lambda is built on the
+    window's support [lo, hi] alone, and only its prime powers are summed.
     """
     y_expected = spec.Y / spec.X
     if abs(window.y - y_expected) > 1e-9:
@@ -283,13 +284,11 @@ def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow) -> WeightedSumResult:
             f"window plateau [1, {window.y}] does not match Y/X = {y_expected}")
     lo = max(2, math.ceil((1.0 - window.delta) * spec.X))
     hi = math.floor((window.y + window.delta) * spec.X)
-    lam = von_mangoldt_range(hi)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    lam = von_mangoldt_range(hi, lo)
+    ns = np.flatnonzero(lam) + lo            # the prime powers in [lo, hi]
     if spec.q > 1:
         ns = ns[ns % spec.q == spec.a]
-    lamv = lam[ns]
-    nz = lamv != 0.0
-    ns, lamv = ns[nz], lamv[nz]
+    lamv = lam[ns - lo]
     if len(ns) == 0:
         return WeightedSumResult(value=0j, sharp=0j, count=0)
     phases = unit_phases(spec.h, ns, spec.alpha)
@@ -362,8 +361,11 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
     qs = range(2, Q + 1) if moduli == "all" else [int(p) for p in primes_upto(Q)]
     hist = _residue_histograms(pe, qs)
     qs = sorted(hist)  # segment j of the concatenations holds a = 0..qs[j]-1
-    q, start = np.array(qs), np.cumsum(qs) - qs
-    coprime = np.gcd(np.arange(q.sum()) - np.repeat(start, q), np.repeat(q, q)) == 1
+    dt = np.int32 if sum(qs) < 2 ** 31 else np.int64  # int32 halves the gcd
+    q = np.array(qs, dtype=dt)
+    start = np.cumsum(q, dtype=dt) - q
+    a = np.arange(q.sum(), dtype=dt) - np.repeat(start, q)
+    coprime = np.gcd(a, np.repeat(q, q)) == 1
     phi = np.add.reduceat(coprime, start, dtype=np.intp)
     dev = np.abs(np.concatenate([hist[m] for m in qs]) - np.repeat(pi_I / phi, q))
     dev[~coprime] = -1.0

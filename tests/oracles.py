@@ -139,6 +139,51 @@ def hb_total_brute(n: int, k: int, V: int) -> float:
     return sum(s * b * w for (s, b, _t, w) in hb_terms_brute(n, k, V))
 
 
+def hb_terms_in_order(n: int, k: int, V: int):
+    """(terms, omitted) in the order of a nested enumeration: j, then the
+    capped block's product b over the divisors of n, then the capped tuples,
+    then the free tuples, each lexicographic.  Terms are (sign, binom, d,
+    weight); a capped tuple with a zero Mobius factor omits all tau_j(n / b)
+    free tuples, and a free tuple with d_1 = 1 omits one term."""
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    mu = {d: mobius_direct(d) for d in divs}
+    listed: dict = {}
+
+    def tuples(m, slots, cap=None):
+        # ordered `slots`-tuples with product m, entries <= cap, by the first
+        # entry and then recursively
+        key = (m, slots, cap)
+        if key in listed:
+            return listed[key]
+        if slots == 1:
+            out = [(m,)] if cap is None or m <= cap else []
+        else:
+            out = [(d,) + rest for d in divs
+                   if m % d == 0 and (cap is None or d <= cap)
+                   for rest in tuples(m // d, slots - 1, cap)]
+        listed[key] = out
+        return out
+
+    terms, omitted = [], 0
+    for j in range(1, k + 1):
+        sign, binom = (-1) ** (j - 1), math.comb(k, j)
+        for b in divs:
+            for capped in tuples(b, j, V):
+                mu_prod = 1
+                for d in capped:
+                    mu_prod *= mu[d]
+                if mu_prod == 0:
+                    omitted += len(tuples(n // b, j))
+                    continue
+                for free in tuples(n // b, j):
+                    if free[0] == 1:
+                        omitted += 1
+                        continue
+                    terms.append((sign, binom, free + capped,
+                                  math.log(free[0]) * mu_prod))
+    return terms, omitted
+
+
 def dirichlet_convolve_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[n] = sum_{d | n} a[d] * b[n/d]: one slice update per nonzero a[i] in
     ascending i, so each c[n] sums its terms in ascending order of d."""
@@ -524,6 +569,18 @@ def bv_rows_bincount_loop(pe: np.ndarray, qs) -> tuple[tuple, float]:
         rows.append((q, worst_a, worst))
         total += worst
     return tuple(rows), total
+
+
+def bv_rows_int64_mask(pe: np.ndarray, qs) -> tuple[np.ndarray, tuple, float]:
+    """(coprime mask, rows, total) of the BV discrepancy over the sorted
+    moduli qs, with the mask from one int64 np.gcd over the concatenated
+    residues a = 0..q-1 of each q, and the rows as in `bv_rows_bincount_loop`."""
+    qs = sorted(qs)
+    q = np.array(qs, dtype=np.int64)
+    a = np.concatenate([np.arange(m, dtype=np.int64) for m in qs])
+    coprime = np.gcd(a, np.repeat(q, q)) == 1
+    rows, total = bv_rows_bincount_loop(pe, qs)
+    return coprime, rows, total
 
 
 def phase_sum_brute(coeff, shift, exponent, lo, hi) -> complex:

@@ -295,6 +295,26 @@ def test_range_sieves_reject_empty_range():
             fn(0)
 
 
+@pytest.mark.parametrize("lo", [0, 1, 2, 3, 4, 8, 9, 25, 26])
+def test_von_mangoldt_window_is_a_slice_of_the_full_range(lo):
+    # [lo, nmax] is sieved alone: prime powers at lo (4, 8, 9, 25) and a
+    # window of one entry (nmax = lo) keep every bit
+    for nmax in (lo, lo + 1, 4096, 5000):
+        if nmax < 1:
+            with pytest.raises(ArgumentError):
+                von_mangoldt_range(nmax, lo)
+            continue
+        got, want = von_mangoldt_range(nmax, lo), von_mangoldt_range(nmax)[lo:]
+        assert got.dtype == want.dtype and len(got) == nmax - lo + 1
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_von_mangoldt_window_must_lie_in_the_range():
+    for nmax, lo in ((10, -1), (10, 11), (0, 0)):
+        with pytest.raises(ArgumentError):
+            von_mangoldt_range(nmax, lo)
+
+
 def test_is_prime_large_deterministic():
     # spot checks around known strong-pseudoprime trouble spots
     assert is_prime(2_147_483_647)          # 2^31 - 1

@@ -170,6 +170,33 @@ def test_kloosterman_table_json(capsys):
     assert abs(rec.values["min_margin"] - want) <= 1e-9 * 24
 
 
+@pytest.mark.parametrize("q, digest", [
+    (12, "eb929cf4478161d69b72db594c45a94e77f686d82d9697bc945bcd3e010d6921"),
+    (499, "1f7ac2b0c70011042e643e90214b50f3ce9f9bb8c15e221851f5d0af408605fa")])
+def test_kloosterman_table_record_unchanged(capsys, q, digest):
+    # the record byte for byte as it was when the value table and the margin
+    # table were each built from their own rows
+    code, out, _ = run_cli(capsys, ["kloosterman", "--q", str(q), "--table",
+                                    "--output", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_kloosterman_table_builds_the_rows_once(capsys, monkeypatch):
+    from fracprimes import charkloost
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        return inverses(q)
+
+    inverses = charkloost.unit_inverses
+    monkeypatch.setattr(charkloost, "unit_inverses", spy)
+    code, _, _ = run_cli(capsys, ["kloosterman", "--q", "24", "--table",
+                                  "--output", "json"])
+    assert code == 0 and calls == [24]
+
+
 def test_gauss_cli(capsys):
     code, out, _ = run_cli(capsys, ["gauss", "--q", "7", "--chi-index", "1",
                                     "--s", "1", "--output", "json"])

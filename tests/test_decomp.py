@@ -55,6 +55,25 @@ def test_hb_term_lists_match_brute_oracle(n):
     assert abs(t.total() - oracles.von_mangoldt_direct(n)) < 1e-9
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_hb_terms_match_in_order_enumeration(k):
+    # the terms in order, their weights and total() bit for bit, and the
+    # omitted count, against a nested enumeration of every tuple; at k = 6
+    # the census of n = 720 and 840 exceeds the default budget
+    for n in [*range(1, 401), 720, 840, 1000]:
+        t = heath_brown_terms(n, k=k, budget=10**7)
+        V = math.ceil(n ** (1 / k)) + 1
+        want, omitted = oracles.hb_terms_in_order(n, k, V)
+        assert t.V == V
+        assert list(t.terms) == want
+        weights = np.array([[x.weight for x in t.terms],
+                            [w[3] for w in want]]).reshape(2, -1)
+        assert np.array_equal(*weights.view(np.uint64))
+        total = float(sum(s * b * w for s, b, _, w in want))
+        assert t.total().hex() == total.hex()
+        assert t.omitted_zero_weight == omitted
+
+
 def test_hb_term_invariants():
     t = heath_brown_terms(360, k=5, V=4)
     for x in t.terms:

@@ -19,7 +19,7 @@ from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50,
                                 level_of_distribution,
                                 phase_sum,
                                 reduced_phase, reduced_phase_array,
-                                vdc_bound,
+                                unit_phases, vdc_bound,
                                 weighted_sum_W)
 from fracprimes.smoothing import BumpWindow, eval_bump
 from fracprimes.expsums import von_mangoldt_range
@@ -342,6 +342,54 @@ def test_weighted_sharp_smooth_difference_bounded():
     assert abs(res.value - res.sharp) <= band + 1e-9
 
 
+def _weighted_sum_dense(spec, window):
+    """(value, sharp, count) of weighted_sum_W from Lambda on all of [0, hi],
+    gathered at every n of the window's support in the class and then
+    restricted to the nonzero entries."""
+    lo = max(2, math.ceil((1.0 - window.delta) * spec.X))
+    hi = math.floor((window.y + window.delta) * spec.X)
+    lam = von_mangoldt_range(hi)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    if spec.q > 1:
+        ns = ns[ns % spec.q == spec.a]
+    lamv = lam[ns]
+    nz = lamv != 0.0
+    ns, lamv = ns[nz], lamv[nz]
+    phases = unit_phases(spec.h, ns, spec.alpha)
+    smooth_w = eval_bump(window, ns / spec.X)
+    value = block_sum(lamv * smooth_w * phases)
+    sharp = block_sum((lamv * phases)[(ns >= spec.X) & (ns < spec.Y)])
+    return value, sharp, int(np.count_nonzero(smooth_w * lamv))
+
+
+def _complex_bits(*zs):
+    return np.array([[z.real, z.imag] for z in zs]).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("q, a", [(1, 0), (7, 3), (12, 5)])
+@pytest.mark.parametrize("X", [3000, 10**4, 10**5, 10**6])
+def test_weighted_sum_matches_dense_lambda_bitwise(X, q, a):
+    # Lambda on the window alone changes no bit of the sums or the count
+    w = BumpWindow(y=2.0, delta=0.2)
+    res = weighted_sum_W(ExpSumSpec(X=X, Y=2 * X, h=1, alpha=0.1, q=q, a=a), w)
+    value, sharp, count = _weighted_sum_dense(
+        ExpSumSpec(X=X, Y=2 * X, h=1, alpha=0.1, q=q, a=a), w)
+    assert res.count == count > 0
+    assert _complex_bits(res.value, res.sharp) == _complex_bits(value, sharp)
+
+
+def test_weighted_sum_window_starting_at_a_prime_power():
+    # lo = ceil(0.8 * 1280) = 1024 = 2^10: the window's first entry is a
+    # prime power, which the window's own sieve must still weight by log 2
+    w = BumpWindow(y=2.0, delta=0.2)
+    spec = ExpSumSpec(X=1280, Y=2560, h=3, alpha=0.3, q=1, a=0)
+    assert max(2, math.ceil((1.0 - w.delta) * spec.X)) == 1024
+    res = weighted_sum_W(spec, w)
+    value, sharp, count = _weighted_sum_dense(spec, w)
+    assert res.count == count
+    assert _complex_bits(res.value, res.sharp) == _complex_bits(value, sharp)
+
+
 # ---------------------------------------------------------------------------
 # pi_I and the BV discrepancy
 
@@ -434,6 +482,30 @@ def test_bv_rows_match_bincount_loop(X, Q, c, d, moduli):
     assert rep.per_q == rows
     assert rep.total == total
     assert rep.pi_I == len(pe)
+
+
+@pytest.mark.parametrize("moduli", ["all", "prime"])
+def test_bv_coprime_mask_matches_int64_gcd(monkeypatch, moduli):
+    # the coprime mask is built in int32: the mask and every row must be the
+    # ones an int64 np.gcd gives
+    X, Q = 300_000, 500
+    win = FracWindow(alpha=0.1, c=0.0, d=0.5)
+    gcd, seen = np.gcd, []
+
+    def spy(a, b):
+        seen.append((a.dtype, b.dtype, gcd(a, b)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(np, "gcd", spy)
+    rep = bv_discrepancy(X, Q, win, moduli=moduli)
+    monkeypatch.undo()
+    ps = primes_upto(X)
+    qs = range(2, Q + 1) if moduli == "all" else primes_upto(Q).tolist()
+    coprime, rows, total = oracles.bv_rows_int64_mask(ps[win.mask(ps)], qs)
+    assert [(a, b) for a, b, _ in seen] == [(np.dtype(np.int32),) * 2]
+    assert np.array_equal(seen[0][2] == 1, coprime)
+    assert rep.per_q == rows
+    assert rep.total == total
 
 
 # moduli 61..121 lack a 2q, an odd count; 2^15 and 2^17 share a group whose

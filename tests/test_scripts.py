@@ -1,6 +1,7 @@
 """The sweep scripts in scripts/ run end to end on tiny inputs and write the
 CSV comment block and header that plotting code reads."""
 
+import hashlib
 import importlib.util
 import os
 
@@ -68,3 +69,14 @@ def test_bv_trend_with_detail(tmp_path):
     assert lines[-1] == "total,,63.266666666666694"
     assert sorted(os.listdir(tmp_path)) == ["bv_X10000.csv", "trend.csv"]
 
+
+
+def test_artifact_digests(capsys):
+    # criterion 1 reads von_mangoldt_range; its digest must be the sha256 of
+    # the artifact computed in this process
+    import test_acceptance
+
+    assert load("artifact_digests").main(["--criteria", "1"]) == 0
+    artifact, _ = test_acceptance._criterion_1(1)
+    want = hashlib.sha256(artifact.encode("utf-8")).hexdigest()
+    assert capsys.readouterr().out == f"criterion 1 {want}\n"
