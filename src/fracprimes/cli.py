@@ -432,7 +432,7 @@ def cmd_kloosterman(args, cfg: RunConfig):
         imag_max = float(np.max(np.abs(rows.fft.imag)))
         return ({"q": q, "table": True},
                 {"min_margin": float(margins.min()),
-                 "max_abs": float(np.abs(rows.fft.real).max()),  # each unit row permutes K
+                 "max_abs": float(np.abs(rows.fft.real).max()),  # unit rows permute K
                  "imag_residual": float(imag_max)},
                 {"weil_ok": bool((margins >= -1e-9).all()),
                  "real_ok": bool(imag_max <= 1e-8)})
