@@ -70,7 +70,6 @@ def test_bv_trend_with_detail(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["bv_X10000.csv", "trend.csv"]
 
 
-
 def test_artifact_digests(capsys):
     # criterion 1 reads von_mangoldt_range; its digest must be the sha256 of
     # the artifact computed in this process
