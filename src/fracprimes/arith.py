@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, check_budget
 
 CACHE_MAGIC = b"FPL1"
 _TRIAL_LIMIT = 10**6
@@ -81,10 +81,7 @@ def sieve_primes(lo: int, hi: int) -> SieveTable:
     if hi > 1 << 48:
         raise ArgumentError(f"hi={hi} beyond supported range 2**48")
     n = hi - lo
-    if n > _MAX_LEN:
-        raise ResourceLimitError(
-            f"range of length {n} exceeds budget {_MAX_LEN}", estimate=n,
-            budget=_MAX_LEN)
+    check_budget("sieve length", n, _MAX_LEN)
 
     root = math.isqrt(hi - 1)
     base = _trial_primes() if root <= _TRIAL_LIMIT else np.flatnonzero(_base_sieve(root)).astype(np.int64)

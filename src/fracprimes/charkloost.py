@@ -26,9 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import FactoredInteger, factor, primitive_root, tau_k, unit_inverses
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, check_budget
 
-_Q_BUDGET = 10**5
+_Q_BUDGET = 10**5        # per-q tables: characters, unit inverses
 _TABLE_Q_BUDGET = 4096   # a q x q float64 table: 2^24 entries, 134 MB
 
 
@@ -88,9 +88,7 @@ def character_group(q: int) -> CharacterTable:
     """Build the full character table mod q (q between 3 and 10^5)."""
     if q < 3:
         raise ArgumentError(f"need q >= 3, got {q}")
-    if q > _Q_BUDGET:
-        raise ResourceLimitError(f"q={q} beyond table budget {_Q_BUDGET}",
-                                 estimate=q, budget=_Q_BUDGET)
+    check_budget("character table", q, _Q_BUDGET)
     fac = factor(q)
     # (Z/2)^* is trivial and adds no generator
     comps = [(p**e, *_component_dlogs(p, e)) for p, e in fac.factors if p**e > 2]
@@ -166,9 +164,10 @@ def weil_bound(q: int, u: int, v: int) -> float:
 
 
 def kloosterman(q: int, u: int, v: int) -> KloostermanValue:
-    """S_q(u, v) = sum over units l of e((u l + v l^{-1})/q)."""
+    """S_q(u, v) = sum over units l of e((u l + v l^{-1})/q), q <= 10^5."""
     if q < 2:
         raise ArgumentError(f"need q >= 2, got {q}")
+    check_budget("Kloosterman sum", q, _Q_BUDGET)
     inv = unit_inverses(q)
     ls = np.flatnonzero(inv >= 0)
     phases = (u * ls + v * inv[ls]) % q
@@ -207,10 +206,7 @@ def kloosterman_rows(q: int) -> KloostermanRows:
     is allocated."""
     if q < 2:
         raise ArgumentError(f"need q >= 2, got {q}")
-    if q > _TABLE_Q_BUDGET:
-        raise ResourceLimitError(f"q={q} beyond Kloosterman table budget "
-                                 f"{_TABLE_Q_BUDGET}", estimate=q,
-                                 budget=_TABLE_Q_BUDGET)
+    check_budget("Kloosterman table", q, _TABLE_Q_BUDGET)
     inv = unit_inverses(q)
     ls = np.flatnonzero(inv >= 0)
     us = np.concatenate(([1], np.flatnonzero(inv < 0)))

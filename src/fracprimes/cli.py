@@ -355,7 +355,8 @@ def cmd_bv(args, cfg: RunConfig):
     if cfg.Q is None:
         raise ArgumentError("bv requires --Q")
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    table, cached = _table_for(cfg, 2, cfg.X + 1)
+    # without a cache, bv_discrepancy sieves, after its budget check
+    table = find_cached_table(cfg, 2, cfg.X + 1)
     report = bv_discrepancy(cfg.X, cfg.Q, win, table=table, moduli=args.moduli)
     body = emit_csv(
         "bv", {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
@@ -366,7 +367,7 @@ def cmd_bv(args, cfg: RunConfig):
     return ({"moduli": args.moduli},
             {"total": report.total, "pi_I": report.pi_I,
              "rows": [list(r) for r in report.per_q]},
-            {"cache_hit": cached}, body)
+            {"cache_hit": table is not None}, body)
 
 
 def cmd_decompose_check(args, cfg: RunConfig):

@@ -27,9 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import divisors, mobius, mobius_range, primes_upto, tau_k, von_mangoldt_range
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, check_budget
 
 SLACK = 1e-12
+_TERM_BUDGET = 2_000_000     # Heath-Brown tuple census of one n
+_SCAN_BUDGET = 1 << 22       # hb_signed_total_range's nmax: ~160 bytes per n
+_MAX_EXPONENTS = 20          # a tuple of n exponents has 2^n - 2 subsets
 
 
 class HBTerm(NamedTuple):
@@ -64,19 +67,13 @@ def _capped_tuples(m, slots, cap, divs, memo) -> list:
     return memo[m, slots, cap]
 
 
-def _term_budget_estimate(n: int, k: int) -> int:
-    """Upper bound on the tuple census: sum_j C(k,j) tau_{2j}(n)."""
-    return sum(math.comb(k, j) * tau_k(n, 2 * j) for j in range(1, k + 1))
-
-
-def heath_brown_terms(n: int, k: int = 5, V: int | None = None,
-                      budget: int = 2_000_000) -> HBTermList:
+def heath_brown_terms(n: int, k: int = 5, V: int | None = None) -> HBTermList:
     """Full signed term list of the k-fold identity for Lambda(n).
 
     Tuples whose weight is identically zero (d_1 = 1, or a squareful entry
     in a mu-slot) are counted but not materialized.  Raises when n > V^k
-    (the identity is only asserted there) or when the census estimate
-    exceeds the term budget.
+    (the identity is only asserted there) or when the tuple census bound
+    sum_j C(k,j) tau_{2j}(n) exceeds _TERM_BUDGET.
     """
     if n < 1:
         raise ArgumentError(f"need n >= 1, got {n}")
@@ -88,11 +85,8 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None,
         raise ArgumentError(f"need V >= 1, got V={V}")
     if n > V ** k:
         raise ArgumentError(f"identity not asserted for n={n} > V^k={V ** k}")
-    est = _term_budget_estimate(n, k)
-    if est > budget:
-        raise ResourceLimitError(
-            f"term census estimate {est} exceeds budget {budget} for n={n}",
-            estimate=est, budget=budget)
+    check_budget("Heath-Brown term census", sum(
+        math.comb(k, j) * tau_k(n, 2 * j) for j in range(1, k + 1)), _TERM_BUDGET)
 
     divs = divisors(n)
     mu = {d: mobius(d) for d in divs if d <= V}
@@ -153,12 +147,14 @@ def hb_signed_total_range(nmax: int, k: int = 5) -> np.ndarray:
     Groups n by the (few) distinct V values and evaluates each group with
     array convolutions:  total = sum_j (-1)^(j-1) C(k,j) (L_j * M_j^{*j})(n),
     where L_j(m) = log(m) tau_j(m) / j collects the free block and M_j is
-    the mu-weighted indicator of [1, V].
+    the mu-weighted indicator of [1, V].  Needs 1 <= k <= 6, as
+    `heath_brown_terms` does, and nmax <= _SCAN_BUDGET.
     """
     if nmax < 2:
         raise ArgumentError(f"need nmax >= 2, got {nmax}")
-    if k < 1:
-        raise ArgumentError(f"need k >= 1, got k={k}")
+    if not 1 <= k <= 6:
+        raise ArgumentError(f"need 1 <= k <= 6, got k={k}")
+    check_budget("Heath-Brown scan nmax", nmax, _SCAN_BUDGET)
     mu = mobius_range(nmax).astype(np.float64)
     logs = np.zeros(nmax + 1)
     logs[1:] = np.log(np.arange(1, nmax + 1, dtype=np.float64))
@@ -206,6 +202,7 @@ class TypeWitness:
 
 def _subsets_lex(indices):
     """Nonempty proper subsets of `indices`, lexicographically by tuple."""
+    check_budget("exponent tuple length", len(indices), _MAX_EXPONENTS)
     subs = []
     for r in range(1, len(indices)):
         subs.extend(combinations(indices, r))

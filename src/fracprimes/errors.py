@@ -2,6 +2,7 @@
 
 The CLI maps these onto process exit codes: bad arguments/config -> 2,
 violated mathematical invariants -> 3, exceeded resource budgets -> 4.
+`check_budget` is the one size check; callers run it before allocating.
 """
 
 
@@ -20,6 +21,13 @@ class ResourceLimitError(RuntimeError):
         super().__init__(msg)
         self.estimate = estimate
         self.budget = budget
+
+
+def check_budget(what: str, estimate: int, budget: int) -> None:
+    """Raise ResourceLimitError when the size estimate of `what` > budget."""
+    if estimate > budget:
+        raise ResourceLimitError(f"{estimate} beyond {what} budget {budget}",
+                                 estimate=estimate, budget=budget)
 
 
 class AccuracyError(RuntimeError):

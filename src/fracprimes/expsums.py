@@ -27,11 +27,12 @@ import numpy as np
 from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_frac, mpf_mul, mpf_pow, to_float
 
 from .arith import primes_upto, sieve_primes, von_mangoldt_range
-from .errors import AccuracyError, ArgumentError
+from .errors import AccuracyError, ArgumentError, check_budget
 from .smoothing import BumpWindow, eval_bump
 
 REDUCTION_THRESHOLD = 2.0**12
 BLOCK = 1 << 16
+_RESIDUE_BUDGET = 1 << 24   # bv residue entries, ~40 bytes each
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +351,13 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
 
     One sieve pass; a histogram mod q folds from the one mod 2q or from a
     bincount mod the lcm of q's group.  moduli "all" is [2, Q], "prime" primes.
+    The residues of all q <= Q (a bound for prime q) are budgeted first.
     """
     if not 2 < Q < X:
         raise ArgumentError(f"need 2 < Q < X, got Q={Q} X={X}")
     if moduli not in ("all", "prime"):
         raise ArgumentError(f"moduli must be 'all' or 'prime', got {moduli!r}")
+    check_budget("residue count", Q * (Q + 1) // 2 - 1, _RESIDUE_BUDGET)
     ps = _primes_for_range(2, X + 1, table)
     pe = ps[win.mask(ps)]
     pi_I = int(len(pe))

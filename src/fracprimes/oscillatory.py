@@ -40,7 +40,7 @@ import numpy as np
 
 from .charkloost import character_group, chi_values
 from .errors import (AccuracyError, ArgumentError, InvariantViolation,
-                     ResourceLimitError, StationaryPointError)
+                     StationaryPointError, check_budget)
 from .expsums import _MP50, frac_part, monomial_frac, unit_phases
 from .smoothing import (JET_ORDER, BumpWindow, bump_jet, eval_bump,
                         eval_member, make_partition, series_exp, series_mul,
@@ -507,9 +507,7 @@ def _block_range(D: float, var: str) -> np.ndarray:
     """The integers in [D/theta, D theta], the support of Psi_D; more than
     _K_BUDGET of them raise ResourceLimitError."""
     lo, hi = math.ceil(D / _THETA), math.floor(D * _THETA)
-    if hi - lo + 1 > _K_BUDGET:
-        raise ResourceLimitError(f"{hi - lo + 1} {var}-terms exceed {_K_BUDGET}",
-                                 estimate=hi - lo + 1, budget=_K_BUDGET)
+    check_budget(f"{var}-term", hi - lo + 1, _K_BUDGET)
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 

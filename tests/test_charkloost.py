@@ -296,6 +296,15 @@ def test_kloosterman_table_budget():
         assert (exc.value.estimate, exc.value.budget) == (4099, 4096)
 
 
+def test_kloosterman_sum_budget():
+    # the per-q budget of character_group (the CLI tests take q = 10^8,
+    # which looped for minutes, and 10^10, 74.5 GiB of unit inverses)
+    assert kloosterman(10 ** 5, 1, 1).margin >= -1e-9
+    with pytest.raises(ResourceLimitError) as exc:
+        kloosterman(10 ** 5 + 1, 1, 1)
+    assert (exc.value.estimate, exc.value.budget) == (10 ** 5 + 1, 10 ** 5)
+
+
 def test_character_group_budget():
     with pytest.raises((ArgumentError, ResourceLimitError)):
         character_group(2 * 10 ** 5)

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -596,10 +598,13 @@ def test_oscint_reversed_J_is_an_argument_error(capsys, method):
     ["oscint", "--phase", "first", "--u", "-1", "--method", "quad"],
     ["decompose-check", "--k", "0", "--nmax", "50"],
     ["decompose-check", "--k", "-1", "--nmax", "50"],
+    ["decompose-check", "--k", "7"],
+    ["decompose-check", "--k", "20000"],
     ["decompose-check", "--n", "12", "--show", "-2"]])
 def test_degenerate_integers_are_argument_errors(capsys, argv):
-    # q, u, m, n below 1, a second-kind h of 0 and a Heath-Brown k below 1
-    # have no phase or identity to evaluate; no term count is below 0
+    # q, u, m, n below 1 and a second-kind h of 0 have no phase to evaluate,
+    # and the Heath-Brown identity is evaluated for 1 <= k <= 6 only (k =
+    # 20000 overflowed); no term count is below 0
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert "error: " in err
@@ -621,22 +626,70 @@ def test_exit_code_resource_limit(capsys):
     assert "resource limit" in err
 
 
-def test_kloosterman_table_over_budget_exits_4():
-    # the (q, q) table at q = 10^5 would take ~90 GiB: it must be refused
-    # before allocating; a 3 GiB address-space cap on the child process
-    # turns an attempt into a MemoryError (exit 1) instead of a host OOM
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    proc = subprocess.run([sys.executable, "-m", "fracprimes.cli",
-                           "kloosterman", "--q", "100000", "--table",
-                           "--output", "json"], capture_output=True,
-                          text=True, preexec_fn=cap, timeout=120,
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "--hi", "1e12"], "beyond sieve length budget 2147483648"),
+    (["cache", "--build", "1e12"], "beyond sieve length budget 2147483648"),
+    (["count", "--X", "1e12"], "beyond sieve length budget 2147483648"),
+    (["expsum", "--X", "1e12"], "beyond sieve length budget 2147483648"),
+    (["bv", "--X", "1e12", "--Q", "10"],
+     "beyond sieve length budget 2147483648"),
+    (["bv", "--X", "1e8", "--Q", "5e7", "--alpha", "0.1"],
+     "beyond residue count budget 16777216"),
+    (["decompose-check", "--nmax", "1e9"],
+     "beyond Heath-Brown scan nmax budget 4194304"),
+    (["kloosterman", "--q", "1e10", "--u", "1", "--v", "1"],
+     "beyond Kloosterman sum budget 100000"),
+    (["kloosterman", "--q", "1e8", "--u", "1", "--v", "1"],
+     "beyond Kloosterman sum budget 100000"),
+    (["kloosterman", "--q", "100000", "--table"],
+     "beyond Kloosterman table budget 4096"),
+    (["gauss", "--q", "1e6"], "beyond character table budget 100000"),
+    (["classify", "--t", ",".join(["0.025"] * 40)],
+     "beyond exponent tuple length budget 20"),
+    (["oscint", "--phase", "first", "--X", "1e15", "--method", "quad"],
+     "trapezoid rule: no convergence")],
+    ids=["sieve-hi", "cache-build", "count-X", "expsum-X", "bv-X", "bv-Q",
+         "decompose-nmax", "kloosterman-q1e10", "kloosterman-q1e8",
+         "kloosterman-table", "gauss-q", "classify-t", "oscint-X"])
+def test_size_parameter_over_budget_exits_4(tmp_path, argv, message):
+    # every size parameter is refused before anything is allocated: exit 4
+    # within a second; a 3 GiB address-space cap on the child process turns
+    # an attempt to allocate into a MemoryError (exit 1), not a host OOM
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fracprimes.cli", *argv,
+                           "--cache", str(tmp_path), "--output", "json"],
+                          capture_output=True, text=True,
+                          preexec_fn=_cap_address_space, timeout=1,
                           env={**os.environ, "PYTHONPATH": os.path.dirname(
                               os.path.dirname(cli.__file__))})
+    assert time.perf_counter() - t0 < 1.0
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert "beyond Kloosterman table budget" in proc.stderr
+    assert proc.stderr.startswith("resource limit: ")
+    assert message in proc.stderr
+
+
+def _readme_commands():
+    """The argument lists of the `fracprimes ...` lines of README's
+    "Command line" block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("fracprimes ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_command_lines_run(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, [*argv, "--output", "json",
+                                    "--cache", str(tmp_path)])
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------------------

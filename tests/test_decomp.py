@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracprimes import decomp
 from fracprimes.arith import mobius_range
 from fracprimes.decomp import (DyadicTuple, TypeWitness, _dirichlet_convolve,
                                _tau_chain, classify_dyadic,
@@ -56,12 +58,13 @@ def test_hb_term_lists_match_brute_oracle(n):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_hb_terms_match_in_order_enumeration(k):
+def test_hb_terms_match_in_order_enumeration(monkeypatch, k):
     # the terms in order, their weights and total() bit for bit, and the
     # omitted count, against a nested enumeration of every tuple; at k = 6
     # the census of n = 720 and 840 exceeds the default budget
+    monkeypatch.setattr(decomp, "_TERM_BUDGET", 10**7)
     for n in [*range(1, 401), 720, 840, 1000]:
-        t = heath_brown_terms(n, k=k, budget=10**7)
+        t = heath_brown_terms(n, k=k)
         V = math.ceil(n ** (1 / k)) + 1
         want, omitted = oracles.hb_terms_in_order(n, k, V)
         assert t.V == V
@@ -98,9 +101,25 @@ def test_hb_signed_totals_equal_lambda():
         assert abs(totals[n] - oracles.von_mangoldt_direct(n)) <= 1e-9
 
 
-def test_hb_budget_guard():
+def test_hb_budget_guard(monkeypatch):
+    monkeypatch.setattr(decomp, "_TERM_BUDGET", 100)
     with pytest.raises(ResourceLimitError):
-        heath_brown_terms(720720, k=5, V=30, budget=100)
+        heath_brown_terms(720720, k=5, V=30)
+
+
+def test_hb_scan_budget_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(decomp, "_SCAN_BUDGET", 300)
+    assert hb_residual_scan(300)[2:].max() <= 1e-9
+    for nmax in (301, 10 ** 9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                hb_residual_scan(nmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.estimate, exc.value.budget) == (nmax, 300)
+        assert peak < 1 << 20
 
 
 def test_hb_argument_validation():
@@ -226,6 +245,17 @@ def test_classifier_witnesses_reverify():
         assert wits
         for w in wits:
             assert verify_witness(t, sigma, w)
+
+
+def test_classifier_subset_search_budget(monkeypatch):
+    # n exponents have 2^n - 2 subsets: a tuple longer than the budget is
+    # refused before any subset is built
+    monkeypatch.setattr(decomp, "_MAX_EXPONENTS", 4)
+    assert classify_exponents((0.25,) * 4, 0.15)
+    for n in (5, 40):
+        with pytest.raises(ResourceLimitError) as exc:
+            classify_exponents((1 / n,) * n, 0.15)
+        assert (exc.value.estimate, exc.value.budget) == (n, 4)
 
 
 def test_classifier_validation():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracprimes import expsums
 from fracprimes.arith import primes_upto
-from fracprimes.errors import ArgumentError
+from fracprimes.errors import ArgumentError, ResourceLimitError
 from fracprimes.expsums import (BLOCK, REDUCTION_THRESHOLD, _MP50,
                                 ExpSumSpec, FracWindow, MonomialPhase,
                                 block_sum,
@@ -542,6 +544,26 @@ def test_bv_monotone_in_Q():
     t10 = bv_discrepancy(30000, 10, win).total
     t31 = bv_discrepancy(30000, 31, win).total
     assert t10 <= t31 + 1e-12
+
+
+@pytest.mark.parametrize("moduli", ["all", "prime"])
+def test_bv_residue_budget_checked_before_the_sieve(monkeypatch, moduli):
+    # the bound is the residues of every q <= Q, 2 + ... + Q, for prime
+    # moduli too; neither X nor Q is sieved before a refusal
+    win = FracWindow(alpha=0.1, c=0.0, d=0.5)
+    monkeypatch.setattr(expsums, "_RESIDUE_BUDGET", 104)
+    bv_discrepancy(1000, 14, win, moduli=moduli)
+    for Q in (15, 5 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                bv_discrepancy(10 ** 8, Q, win, moduli=moduli)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.estimate, exc.value.budget) == (Q * (Q + 1) // 2 - 1,
+                                                          104)
+        assert peak < 1 << 20
 
 
 def test_bv_validation():
