@@ -85,8 +85,8 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None) -> HBTermList:
         raise ArgumentError(f"need V >= 1, got V={V}")
     if n > V ** k:
         raise ArgumentError(f"identity not asserted for n={n} > V^k={V ** k}")
-    check_budget("Heath-Brown term census", sum(
-        math.comb(k, j) * tau_k(n, 2 * j) for j in range(1, k + 1)), _TERM_BUDGET)
+    census = sum(math.comb(k, j) * tau_k(n, 2 * j) for j in range(1, k + 1))
+    check_budget("Heath-Brown term census", census, _TERM_BUDGET)
 
     divs = divisors(n)
     mu = {d: mobius(d) for d in divs if d <= V}
