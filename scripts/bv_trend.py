@@ -41,8 +41,9 @@ def main(argv=None) -> int:
     rows = []
     for X in xs:
         Q = int(X ** args.qexp)
-        rep = bv_discrepancy(X, Q, win, moduli=args.moduli)
-        pi = sieve_primes(2, X + 1).count()
+        table = sieve_primes(2, X + 1)
+        rep = bv_discrepancy(X, Q, win, table=table, moduli=args.moduli)
+        pi = table.count()
         rows.append((X, Q, rep.total, rep.pi_I, pi, rep.total / pi))
         if args.detail_dir:
             detail = emit_csv(

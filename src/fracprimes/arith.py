@@ -147,19 +147,17 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     return lo, hi
 
 
-def sieve_header(path: str) -> tuple[int, int]:
-    """[lo, hi) from a cache file's header, checked as by `load_sieve`."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
 def load_sieve(path: str, lo: int | None = None, hi: int | None = None) -> SieveTable:
     """The cached table, or with lo and hi only the bitmap bytes that hold
     [lo, hi): the result's lo and hi are then the byte edges of what was
-    read, clipped to the header's range.  A bad magic or a file whose size
-    disagrees with its header raises ArgumentError, whatever the range."""
+    read, clipped to the header's range.  A bad magic, a file whose size
+    disagrees with its header, or a header that does not cover [lo, hi)
+    raises ArgumentError."""
     with open(path, "rb") as fh:
         t_lo, t_hi = _read_header(fh, path)
+        if (lo is not None and lo < t_lo) or (hi is not None and hi > t_hi):
+            raise ArgumentError(f"{path}: header covers [{t_lo}, {t_hi}), "
+                                f"not [{lo}, {hi})")
         nbytes = (t_hi - t_lo + 7) // 8
         b0 = 0 if lo is None else min(max(lo - t_lo, 0) // 8, nbytes)
         b1 = nbytes if hi is None else max(b0, min((hi - t_lo + 7) // 8, nbytes))

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .arith import (atomic_write, load_sieve, save_sieve, sieve_header,
-                    sieve_primes)
+from .arith import atomic_write, load_sieve, save_sieve, sieve_primes
 from .charkloost import (character_group, gauss_sum, is_primitive,
                          kloosterman, kloosterman_rows, weil_margin_table)
 from .decomp import (DyadicTuple, classify_dyadic, classify_exponents,
@@ -204,27 +203,21 @@ class ResultRecord:
     version: str
 
 
-def _encode(obj):
+def _json_value(obj):
+    """The JSON form of a value json cannot write: a complex as
+    {"__complex__": [re, im]}, a numpy scalar or array as its Python value.
+    (np.float64 is a float, which json already writes by float.__repr__.)"""
     if isinstance(obj, complex):
         return {"__complex__": [obj.real, obj.imag]}
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_encode(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def record_to_json(rec: ResultRecord) -> str:
     """The canonical JSON record: elapsed_ms nulled, keys sorted."""
-    d = dataclasses.asdict(rec)
-    d["elapsed_ms"] = None
-    return json.dumps(_encode(d), sort_keys=True, indent=2) + "\n"
+    return json.dumps({**vars(rec), "elapsed_ms": None}, sort_keys=True,
+                      indent=2, default=_json_value) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +252,11 @@ def cache_dir(cfg: RunConfig) -> str:
 
 
 def find_cached_table(cfg: RunConfig, lo: int, need_hi: int):
-    """The smallest readable cached sieve whose header covers [2, need_hi),
-    read only over the bitmap bytes that hold [lo, need_hi); or None.
+    """The smallest readable cached sieve whose header covers [lo, need_hi),
+    read only over the bitmap bytes that hold that range; or None.
 
     A cache file that fails to load, or whose header does not cover
-    [2, need_hi) whatever its name says, is skipped with a warning on stderr.
+    [lo, need_hi) whatever its name says, is skipped with a warning on stderr.
     """
     d = cache_dir(cfg)
     if not os.path.isdir(d):
@@ -273,35 +266,26 @@ def find_cached_table(cfg: RunConfig, lo: int, need_hi: int):
     for n in sizes:
         path = os.path.join(d, f"primes_{n}.fpl")
         try:
-            h_lo, h_hi = sieve_header(path)
-            if h_lo > 2 or h_hi < need_hi:
-                raise ArgumentError(f"{path}: header covers [{h_lo}, "
-                                    f"{h_hi}), not [2, {need_hi})")
             return load_sieve(path, lo, need_hi)
         except (ArgumentError, OSError) as e:
             print(f"warning: skipping prime cache: {e}", file=sys.stderr)
     return None
 
 
-def _table_for(cfg: RunConfig, lo: int, need_hi: int):
-    table = find_cached_table(cfg, lo, need_hi)
-    if table is not None:
-        return table, True
-    return sieve_primes(lo, need_hi), False
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (params, values, invariant_flags) and,
-# where the command has one, a csv/text body; `main` builds the record
+# where the command has one, a zero-argument callable that builds its
+# csv/text body; `main` builds the record
 
-def _emit(rec: ResultRecord, args, cfg: RunConfig, body: str | None = None) -> None:
+def _emit(rec: ResultRecord, args, cfg: RunConfig, body=None) -> None:
     """Print the body under --output csv when there is one, else the
-    canonical JSON record; write the same text to --out atomically."""
-    if body is None or cfg.output != "csv":
-        body = record_to_json(rec)
-    sys.stdout.write(body)
+    canonical JSON record; write the same text to --out atomically.
+    The body is built only when it is printed."""
+    text = (body() if body is not None and cfg.output == "csv"
+            else record_to_json(rec))
+    sys.stdout.write(text)
     if getattr(args, "out", None):
-        atomic_write(args.out, body.encode("utf-8"))
+        atomic_write(args.out, text.encode("utf-8"))
     print(f"[{rec.command}] {rec.elapsed_ms:.1f} ms", file=sys.stderr)
 
 
@@ -331,9 +315,10 @@ def cmd_count(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     win = FracWindow(alpha=cfg.alpha, c=cfg.interval[0], d=cfg.interval[1])
-    table, cached = _table_for(cfg, 2, cfg.X + 1)
+    # without a cache, the library sieves the range it reads
+    table = find_cached_table(cfg, 2, cfg.X + 1)
     n = count_pi_I(cfg.X, q, a, win, table=table)
-    return {"q": q, "a": a}, {"count": n}, {"cache_hit": cached}
+    return {"q": q, "a": a}, {"count": n}, {"cache_hit": table is not None}
 
 
 def cmd_expsum(args, cfg: RunConfig):
@@ -341,13 +326,13 @@ def cmd_expsum(args, cfg: RunConfig):
     q = cfg.q if cfg.q is not None else 1
     a = cfg.a if cfg.a is not None else 0
     spec = ExpSumSpec(X=cfg.X, Y=Y, h=cfg.h, alpha=cfg.alpha, q=q, a=a)
-    table, cached = _table_for(cfg, cfg.X, Y)
+    table = find_cached_table(cfg, cfg.X, Y)
     res = exp_sum_primes(spec, table=table)
     return ({"Y": Y, "q": q, "a": a},
             {"value": res.value, "abs": abs(res.value), "count": res.count,
              "trivial_ratio": abs(res.value) / max(res.count, 1)},
             {"in_scope": spec.in_scope(cfg.constants["C"]),
-             "cache_hit": cached,
+             "cache_hit": table is not None,
              "trivial_bound": abs(res.value) <= res.count + 1e-9})
 
 
@@ -358,16 +343,16 @@ def cmd_bv(args, cfg: RunConfig):
     # without a cache, bv_discrepancy sieves, after its budget check
     table = find_cached_table(cfg, 2, cfg.X + 1)
     report = bv_discrepancy(cfg.X, cfg.Q, win, table=table, moduli=args.moduli)
-    body = emit_csv(
-        "bv", {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
-               "I": f"{win.c},{win.d}", "moduli": args.moduli,
-               "threads": cfg.threads, "seed": cfg.seed},
-        ["q", "worst_a", "deviation"],
-        [*report.per_q, ("total", None, report.total)])
     return ({"moduli": args.moduli},
             {"total": report.total, "pi_I": report.pi_I,
              "rows": [list(r) for r in report.per_q]},
-            {"cache_hit": table is not None}, body)
+            {"cache_hit": table is not None},
+            lambda: emit_csv(
+                "bv", {"X": cfg.X, "Q": cfg.Q, "alpha": cfg.alpha,
+                       "I": f"{win.c},{win.d}", "moduli": args.moduli,
+                       "threads": cfg.threads, "seed": cfg.seed},
+                ["q", "worst_a", "deviation"],
+                [*report.per_q, ("total", None, report.total)]))
 
 
 def cmd_decompose_check(args, cfg: RunConfig):
@@ -375,6 +360,7 @@ def cmd_decompose_check(args, cfg: RunConfig):
         raise ArgumentError(f"need --show >= 0, got {args.show}")
     if args.n is not None:
         terms = heath_brown_terms(args.n, k=args.k)
+        # at most show + 2 lines, so only their join waits for csv
         lines = [f"n={args.n} k={args.k} V={terms.V} "
                  f"terms={len(terms.terms)} omitted={terms.omitted_zero_weight}"]
         for t in terms.terms[:args.show]:
@@ -385,18 +371,18 @@ def cmd_decompose_check(args, cfg: RunConfig):
         lines.append(f"total={terms.total():.12f}")
         return ({"n": args.n, "k": args.k},
                 {"total": terms.total(), "n_terms": len(terms.terms)}, {},
-                "\n".join(lines) + "\n")
+                lambda: "\n".join(lines) + "\n")
     resid = hb_residual_scan(args.nmax, k=args.k)
     worst = int(np.argmax(resid[2:]) + 2)
-    body = emit_csv(
-        "decompose-check", {"nmax": args.nmax, "k": args.k,
-                            "threads": cfg.threads, "seed": cfg.seed},
-        ["n", "residual"],
-        [(n, f"{resid[n]:.3e}") for n in range(2, args.nmax + 1)])
     return ({"nmax": args.nmax, "k": args.k},
             {"max_residual": float(resid[2:].max()), "argmax_n": worst,
              "checked": args.nmax - 1},
-            {"exact_1e-9": bool(resid[2:].max() <= 1e-9)}, body)
+            {"exact_1e-9": bool(resid[2:].max() <= 1e-9)},
+            lambda: emit_csv(
+                "decompose-check", {"nmax": args.nmax, "k": args.k,
+                                    "threads": cfg.threads, "seed": cfg.seed},
+                ["n", "residual"],
+                [(n, f"{resid[n]:.3e}") for n in range(2, args.nmax + 1)]))
 
 
 def cmd_classify(args, cfg: RunConfig):
@@ -525,7 +511,7 @@ def cmd_oscint(args, cfg: RunConfig):
 def cmd_level(args, cfg: RunConfig):
     val = level_of_distribution(cfg.alpha)
     return ({}, {"theta": val}, {"in_scope": 0 < cfg.alpha < 1 / 9},
-            f"{val:g}\n")
+            lambda: f"{val:g}\n")
 
 
 def cmd_selftest(args, cfg: RunConfig):
@@ -586,19 +572,18 @@ def cmd_selftest(args, cfg: RunConfig):
                                tol=10.0)
     checks.append(("poisson-classical", chk.rel <= 1e-8, f"rel={chk.rel:.3e}"))
 
-    lines = []
-    n_fail = 0
-    for name, okflag, detail in checks:
-        lines.append(f"{'ok  ' if okflag else 'FAIL'} {name}: {detail}")
-        n_fail += 0 if okflag else 1
-    lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    body = "\n".join(lines) + "\n"
+    n_fail = sum(not okflag for _, okflag, _ in checks)
+
+    def report():
+        return "".join(f"{'ok  ' if okflag else 'FAIL'} {name}: {detail}\n"
+                       for name, okflag, detail in checks) + \
+            f"{len(checks) - n_fail}/{len(checks)} checks passed\n"
     if n_fail:
         if cfg.output == "csv":
-            sys.stdout.write(body)
+            sys.stdout.write(report())
         raise InvariantViolation(f"{n_fail} selftest checks failed")
     return ({}, {"passed": len(checks) - n_fail, "failed": n_fail},
-            {name: okflag for name, okflag, _ in checks}, body)
+            {name: okflag for name, okflag, _ in checks}, report)
 
 
 # ---------------------------------------------------------------------------

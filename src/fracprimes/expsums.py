@@ -218,10 +218,6 @@ class MonomialPhase:
                 and float(self.exponent) != int(self.exponent):
             raise ArgumentError("fractional exponent needs x + shift > 0 on the range")
 
-    def f(self, x):
-        return self.coeff * np.power(np.asarray(x, dtype=float) + self.shift,
-                                     self.exponent)
-
     def d2(self, x):
         e = self.exponent
         return self.coeff * e * (e - 1.0) * np.power(
@@ -364,10 +360,10 @@ def bv_discrepancy(X: int, Q: int, win: FracWindow, table=None,
     qs = range(2, Q + 1) if moduli == "all" else [int(p) for p in primes_upto(Q)]
     hist = _residue_histograms(pe, qs)
     qs = sorted(hist)  # segment j of the concatenations holds a = 0..qs[j]-1
-    dt = np.int32 if sum(qs) < 2 ** 31 else np.int64  # int32 halves the gcd
-    q = np.array(qs, dtype=dt)
-    start = np.cumsum(q, dtype=dt) - q
-    a = np.arange(q.sum(), dtype=dt) - np.repeat(start, q)
+    # int32 halves the gcd; the residue budget keeps sum(qs) <= 2^24
+    q = np.array(qs, dtype=np.int32)
+    start = np.cumsum(q, dtype=np.int32) - q
+    a = np.arange(q.sum(), dtype=np.int32) - np.repeat(start, q)
     coprime = np.gcd(a, np.repeat(q, q)) == 1
     phi = np.add.reduceat(coprime, start, dtype=np.intp)
     dev = np.abs(np.concatenate([hist[m] for m in qs]) - np.repeat(pi_I / phi, q))

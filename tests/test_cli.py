@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from fracprimes import cli
+from fracprimes import arith, cli, expsums
 from fracprimes.arith import save_sieve, sieve_primes
 from fracprimes.cli import ResultRecord, main, record_to_json
 
@@ -410,7 +410,7 @@ def test_uncached_expsum_sieves_only_its_range(tmp_path, monkeypatch, capsys):
         asked.append((lo, hi))
         return sieve_primes(lo, hi)
 
-    monkeypatch.setattr(cli, "sieve_primes", spy)
+    monkeypatch.setattr(expsums, "sieve_primes", spy)
     monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path / "empty"))
     code, out, _ = run_cli(capsys, ["expsum", "--X", "1000", "--Y", "2000",
                                     "--output", "json"])
@@ -418,6 +418,55 @@ def test_uncached_expsum_sieves_only_its_range(tmp_path, monkeypatch, capsys):
     assert record_from_json(out).invariant_flags["cache_hit"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "56eca2c75a569bf5ee3f4336c657c9726fc766cc2458dada5b61bf051de8a47f")
+
+
+def test_cache_file_is_opened_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    assert run_cli(capsys, ["cache", "--build", "100000"])[0] == 0
+    reads = []
+    read_header = arith._read_header
+
+    def spy(fh, path):
+        reads.append(path)
+        return read_header(fh, path)
+
+    monkeypatch.setattr(arith, "_read_header", spy)
+    code, out, _ = run_cli(capsys, ["count", "--X", "50000", "--output", "json"])
+    assert code == 0 and record_from_json(out).invariant_flags["cache_hit"]
+    assert reads == [str(tmp_path / "primes_100000.fpl")]
+
+
+def test_cache_header_need_only_cover_the_range_read(tmp_path, monkeypatch,
+                                                     capsys):
+    # expsum reads [X, Y) = [10^4, 2 10^4): a file from 5000 serves it
+    save_sieve(sieve_primes(5000, 30_000), str(tmp_path / "primes_30000.fpl"))
+    argv = ["expsum", "--X", "10000", "--alpha", "0.3", "--output", "json"]
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and "warning" not in err
+    rec = record_from_json(out)
+    assert rec.invariant_flags["cache_hit"] is True
+    monkeypatch.setenv("FPL_CACHE_DIR", str(tmp_path / "empty"))
+    code, out2, _ = run_cli(capsys, argv)
+    rec2 = record_from_json(out2)
+    assert rec2.invariant_flags["cache_hit"] is False
+    assert rec2.values == rec.values
+
+
+@pytest.mark.parametrize("argv", [
+    ["bv", "--X", "100000", "--Q", "31", "--alpha", "0.1"],
+    ["decompose-check", "--nmax", "3000"]], ids=lambda a: a[0])
+def test_json_output_builds_no_csv_body(capsys, monkeypatch, argv):
+    argv = [*argv, "--output", "json"]
+    code, want, _ = run_cli(capsys, argv)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv body built under --output json")
+
+    monkeypatch.setattr(cli, "emit_csv", refuse)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == want
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
