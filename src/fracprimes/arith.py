@@ -308,13 +308,17 @@ def divisors(n: int) -> list[int]:
 
 
 def unit_inverses(q: int) -> np.ndarray:
-    """Array inv[l] with l*inv[l] == 1 mod q for units, and -1 elsewhere."""
+    """inv[l] = l^(phi(q) - 1) mod q, so l*inv[l] == 1 mod q, for units l, -1
+    elsewhere.  Products stay below q^3, in int64 for the callers' q <= 10^5."""
     if q < 1:
         raise ArgumentError(f"modulus must be >= 1, got {q}")
     out = np.full(q, -1, dtype=np.int64)
-    for l in range(1, q):
-        if math.gcd(l, q) == 1:
-            out[l] = pow(l, -1, q)
+    ls = np.flatnonzero(np.gcd(np.arange(1, q), q) == 1) + 1
+    r = np.ones_like(ls)
+    for bit in f"{max(len(ls) - 1, 0):b}":  # high bit first
+        r *= r * ls if bit == "1" else r
+        r -= r // q * q  # numpy's // by a scalar uses libdivide, and its % does not
+    out[ls] = r
     return out
 
 

@@ -604,6 +604,7 @@ def _common_options() -> argparse.ArgumentParser:
     return sp
 
 
+@functools.cache  # parsing leaves a parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fracprimes",
@@ -691,8 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         t0 = time.perf_counter()

@@ -5,7 +5,9 @@ Phase arguments h*n^alpha are reduced mod 1 in float64 up to 2**12 (error
 ~ value * 2^-52) and above that by `_anchored_frac`: exact 50-digit anchors
 and a float64 expansion around them, within the bound its docstring states
 (below 1e-11).  `monomial_frac` is the one place that picks the tier, for
-the sums here and for `oscillatory`'s second Poisson identity alike.  The
+the sums here, for `oscillatory`'s second Poisson identity and for window
+membership (`FracWindow.mask`), which takes the anchored tier only for phases
+within the band B(w) of a window edge that `monomial_frac` states.  The
 anchors call `mpmath.libmp` as the mpf operators do, at the 50 digits of a
 private context (`_MP50`), never of the global `mpmath.mp`, so they are
 thread-safe.  Every float64 mod 1 is w - floor(w) (`frac_part`).
@@ -97,12 +99,20 @@ def _anchored_frac(c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
     return frac_part(p0 + (p1 * k + tail))
 
 
-def monomial_frac(w: np.ndarray, c, ns: np.ndarray, e, shift=0.0) -> np.ndarray:
+def monomial_frac(w: np.ndarray, c, ns, e, shift=0.0, edges=None) -> np.ndarray:
     """frac(c (n + shift)^e) for an integer array n, given its float64 phases
     w: w mod 1 where |w| <= REDUCTION_THRESHOLD, `_anchored_frac` above.  c
-    and e may be 50-digit mpmath values; the anchors then use them exactly."""
-    out = frac_part(w)
-    big = np.abs(w) > REDUCTION_THRESHOLD
+    and e may be 50-digit mpmath values; the anchors then use them exactly.
+    Given window `edges`, a phase above the threshold takes the anchored tier
+    only if w mod 1 is within B(w) = |w| 2^-44 + 2^-33 of an edge, 0 or 1.
+    Elsewhere w mod 1 (off by w's rounding, <= |w| 2^-52) and the anchored
+    value (< 7.3e-12 < 2^-36 off) are within B/8 of each other, so on one
+    side of every edge.  From |w| = 2^44 the band is all of [0, 1)."""
+    out, a = frac_part(w), np.abs(w)
+    big = a > REDUCTION_THRESHOLD
+    if edges is not None and np.any(big):
+        band = a * 2.0**-44 + 2.0**-33  # B(w)
+        big &= np.logical_or.reduce([np.abs(out - x) <= band for x in (0, 1, *edges)])
     if np.any(big):
         out[big] = _anchored_frac(c, ns[big], e, shift)
     return out
@@ -191,7 +201,8 @@ class FracWindow:
             raise ArgumentError(f"need alpha in (0,1), got {self.alpha}")
 
     def mask(self, ns: np.ndarray) -> np.ndarray:
-        f = reduced_phase_array(1, ns, self.alpha)
+        w = np.power(ns.astype(np.float64), self.alpha)  # _reduce_monomial's w
+        f = monomial_frac(w, 1, ns, self.alpha, edges=(self.c, self.d))
         return (f >= self.c) & (f < self.d)
 
     @property

@@ -226,6 +226,15 @@ def test_inv_mod_and_table():
         oracles.inv_mod(4, 8)
 
 
+@pytest.mark.parametrize("qs", [range(1, 601), (65536, 99990, 99991)],
+                         ids=["q<=600", "large"])
+def test_unit_inverses_match_pow(qs):
+    for q in qs:
+        want = [pow(l, -1, q) if math.gcd(l, q) == 1 and q > 1 else -1
+                for l in range(q)]
+        assert unit_inverses(q).tolist() == want, q
+
+
 def test_primitive_root_generates():
     for p in (3, 5, 7, 11, 13, 97):
         g = primitive_root(p)

@@ -595,6 +595,32 @@ def test_flag_cast_errors_name_the_type(capsys, argv, what):
     assert out == ""
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, ["level", "--alpha", "0.1"])[:2] == (0, "0.34\n")
+    first = len(built)
+    assert run_cli(capsys, ["level", "--alpha", "0.05"])[:2] == (0, "0.37\n")
+    assert first > 0 and len(built) == first
+
+
+def test_options_do_not_carry_over_between_calls(capsys):
+    # the one parser must not keep what an earlier call gave it
+    argv = ["kloosterman", "--q", "7", "--output", "json"]
+    cli.build_parser.cache_clear()
+    fresh = run_cli(capsys, argv)
+    code, _, _ = run_cli(capsys, argv[:3] + ["--u", "2", "--v", "3", "--set",
+                                             "seed=7", "--set", "alpha=0.2",
+                                             "--table"])
+    assert code == 0
+    again = run_cli(capsys, argv)
+    assert again[:2] == fresh[:2]
+    assert '"seed": 7' not in again[1] and '"alpha": 0.2' not in again[1]
+
+
 def test_every_flag_casts_through_integer_or_real():
     # one text-to-value cast per kind, so every integer flag takes 1e3 and
     # every real flag rejects nan

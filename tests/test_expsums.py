@@ -395,6 +395,67 @@ def test_weighted_sum_window_starting_at_a_prime_power():
 # ---------------------------------------------------------------------------
 # pi_I and the BV discrepancy
 
+@pytest.fixture(scope="module")
+def primes_1e7():
+    return primes_upto(10 ** 7)
+
+
+def _window_edges(f: np.ndarray, alpha: float, ns: np.ndarray) -> list:
+    """The fixed windows, then c and d at a phase above 2^12 (the last one
+    where no phase is above it) and one ulp either side of it."""
+    w = np.power(ns.astype(np.float64), alpha)
+    i = np.flatnonzero(w > REDUCTION_THRESHOLD)
+    x = f[i[len(i) // 2] if len(i) else -1]
+    at = [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    return ([(0.0, 0.5), (0.25, 0.75), (0.1, 1.0), (0.0, 1.0)]
+            + [(c, 1.0) for c in at] + [(0.0, d) for d in at])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 0.97])
+def test_window_mask_matches_anchored_phases(primes_1e7, alpha):
+    # mask decides in float64 outside the band of an edge, and must give the
+    # anchored tier's answer everywhere, edges at a phase included
+    ps = primes_1e7
+    f = reduced_phase_array(1, ps, alpha)
+    for c, d in _window_edges(f, alpha, ps):
+        want = (f >= c) & (f < d)
+        assert np.array_equal(FracWindow(alpha, c, d).mask(ps), want), (c, d)
+
+
+def test_float_power_error_within_window_band():
+    # the float64 phase w = n^alpha, n up to 2^48 and alpha across (0, 1), is
+    # within B(w)/64 of the 50-digit power: the band of `monomial_frac`
+    # leaves the float tier 64 times the room this error takes
+    rng = np.random.default_rng(4848)
+    ns = np.concatenate([rng.integers(2, 2 ** 48, 1500, endpoint=True),
+                         np.exp2(rng.uniform(1, 48, 1500)).astype(np.int64),
+                         [2 ** 48] * 4])
+    alphas = np.concatenate([rng.uniform(0.0, 1.0, 3000),
+                             [1e-6, 0.5, 0.9, 1 - 1e-6]])
+    w = np.power(ns.astype(np.float64), alphas)
+    band = w * 2.0 ** -44 + 2.0 ** -33
+    for n, alpha, wi, b in zip(ns.tolist(), alphas.tolist(), w, band):
+        exact = _MP50.power(n, _MP50.mpf(alpha))
+        assert abs(_MP50.mpf(float(wi)) - exact) <= b / 64, (n, alpha)
+
+
+def test_window_mask_takes_no_anchors_away_from_the_edges(monkeypatch):
+    # at alpha 0.9, 16,718 primes up to 2*10^5 have phases above 2^12, and
+    # none of them lies within the band of 0, 1/2 or 1
+    ps = primes_upto(2 * 10 ** 5)
+    alpha, sent = 0.9, []
+    anchored = expsums._anchored_frac
+    monkeypatch.setattr(expsums, "_anchored_frac",
+                        lambda c, ns, e, shift=0.0: sent.append(len(ns))
+                        or anchored(c, ns, e, shift))
+    got = FracWindow(alpha, 0.0, 0.5).mask(ps)
+    assert sum(sent) == 0
+    assert np.count_nonzero(ps ** alpha > REDUCTION_THRESHOLD) > 16_000
+    f = reduced_phase_array(1, ps, alpha)
+    assert sum(sent) > 16_000
+    assert np.array_equal(got, f < 0.5)
+
+
 def test_count_pi_I_small_example():
     win = FracWindow(alpha=0.5, c=0.0, d=0.5)
     assert count_pi_I(10, 1, 0, win) == 2
