@@ -2,13 +2,14 @@
 
 Everything here is exact integer arithmetic.  Range routines return numpy
 arrays indexed by offset into [lo, hi); single-argument routines work on
-Python ints and factor through `factor()`, which does trial division by
-sieved primes up to 10**6 and falls back to deterministic Miller-Rabin plus
-Pollard rho for the remaining cofactor.
+Python ints and factor through `factor()`, which does trial division by the
+primes below 10**6 and one deterministic Miller-Rabin test of the cofactor
+left; a composite cofactor (two prime factors above 10**6) is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -24,25 +25,10 @@ _TRIAL_LIMIT = 10**6
 _SEGMENT = 1 << 20
 _MAX_LEN = 1 << 31
 
-# primes below 10**6 for trial division, built lazily once
-_small_primes: np.ndarray | None = None
-
-
-def _base_sieve(limit: int) -> np.ndarray:
-    """Boolean primality table for [0, limit] by plain Eratosthenes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
+@functools.cache
 def _trial_primes() -> np.ndarray:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = np.flatnonzero(_base_sieve(_TRIAL_LIMIT)).astype(np.int64)
-    return _small_primes
+    """The primes below 10**6 for trial division, built on first use."""
+    return primes_upto(_TRIAL_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -83,9 +69,8 @@ def sieve_primes(lo: int, hi: int) -> SieveTable:
     n = hi - lo
     check_budget("sieve length", n, _MAX_LEN)
 
-    root = math.isqrt(hi - 1)
-    base = _trial_primes() if root <= _TRIAL_LIMIT else np.flatnonzero(_base_sieve(root)).astype(np.int64)
-    base = base[base <= root]
+    # the base primes come from this sieve too; the recursion ends at primes_upto(1)
+    base = primes_upto(math.isqrt(hi - 1))
 
     is_prime = np.ones(n, dtype=bool)
     for s0 in range(lo, hi, _SEGMENT):
@@ -178,7 +163,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -198,25 +183,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
 @dataclass(frozen=True)
 class FactoredInteger:
     """n together with its sorted prime-power factorization."""
@@ -226,49 +192,32 @@ class FactoredInteger:
 
 
 def factor(n: int) -> FactoredInteger:
-    """Factor n >= 1: trial division to 10**6, then Miller-Rabin/rho."""
+    """Factor n >= 1 by trial division to 10**6 and a Miller-Rabin test of
+    the cofactor.  Raises ResourceLimitError when the cofactor is composite,
+    i.e. when n has two or more prime factors above 10**6."""
     if n < 1:
         raise ArgumentError(f"factor() needs n >= 1, got {n}")
     m = n
     fac: dict[int, int] = {}
+    limit = math.isqrt(m)
+    tp = _trial_primes()
+    for p in tp[:np.searchsorted(tp, limit, "right")].tolist():
+        if p > limit:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            fac[p] = e
+            limit = math.isqrt(m)
+    # m has no prime factor below 10**6: below 10**12 it is 1 or prime, and
+    # a prime m exceeds every p in fac, so fac stays in ascending order
+    if m >= _TRIAL_LIMIT ** 2 and not is_prime(m):
+        check_budget("composite cofactor", m, _TRIAL_LIMIT ** 2)
     if m > 1:
-        limit = math.isqrt(m)
-        tp = _trial_primes()
-        for p in tp[:np.searchsorted(tp, limit, "right")].tolist():
-            if p > limit:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                fac[p] = e
-                limit = math.isqrt(m)
-    # cofactor beyond trial range: prime, prime power, or needs rho
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        # perfect power check keeps rho off p^k inputs it handles poorly
-        for k in range(2, m.bit_length()):
-            r = round(m ** (1.0 / k))
-            for cand in (r - 1, r, r + 1):
-                if cand > 1 and cand ** k == m:
-                    stack.extend([cand] * k)
-                    m = 1
-                    break
-            if m == 1:
-                break
-        if m == 1:
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
-    items = tuple(sorted(fac.items()))
-    return FactoredInteger(n=n, factors=items)
+        fac[m] = 1
+    return FactoredInteger(n=n, factors=tuple(fac.items()))
 
 
 # ---------------------------------------------------------------------------

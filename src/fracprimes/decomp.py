@@ -80,7 +80,10 @@ def heath_brown_terms(n: int, k: int = 5, V: int | None = None) -> HBTermList:
     if not 1 <= k <= 6:
         raise ArgumentError(f"need 1 <= k <= 6, got k={k}")
     if V is None:
-        V = math.ceil(n ** (1 / k)) + 1
+        try:
+            V = math.ceil(n ** (1 / k)) + 1
+        except OverflowError:
+            raise ArgumentError(f"need n < 2**1024, got {n.bit_length()} bits") from None
     if V < 1:
         raise ArgumentError(f"need V >= 1, got V={V}")
     if n > V ** k:

@@ -154,6 +154,17 @@ def block_sum(values: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 # domain types
 
+def _check_progression(q: int, a: int) -> None:
+    """The residue class a mod q of a progression: q >= 1, 0 <= a < q and
+    gcd(a, q) = 1 (so a = 0 when q = 1)."""
+    if q < 1:
+        raise ArgumentError(f"need q >= 1, got {q}")
+    if not 0 <= a < q:
+        raise ArgumentError(f"need a in [0, q), got a={a} q={q}")
+    if math.gcd(a, q) != 1:
+        raise ArgumentError(f"need gcd(a, q) = 1, got a={a} q={q}")
+
+
 @dataclass(frozen=True)
 class ExpSumSpec:
     """Parameters of the prime sum T = sum_{X <= p < Y, p = a (q)} e(h p^alpha).
@@ -175,12 +186,7 @@ class ExpSumSpec:
             raise ArgumentError(f"need 3 <= X < Y <= 2X, got X={self.X} Y={self.Y}")
         if not (0.0 < self.alpha < 1.0):
             raise ArgumentError(f"need alpha in (0,1), got {self.alpha}")
-        if self.q < 1:
-            raise ArgumentError(f"need q >= 1, got {self.q}")
-        if not 0 <= self.a < self.q:
-            raise ArgumentError(f"need a in [0, q), got a={self.a} q={self.q}")
-        if self.q > 1 and math.gcd(self.a, self.q) != 1:
-            raise ArgumentError(f"need gcd(a, q) = 1, got a={self.a} q={self.q}")
+        _check_progression(self.q, self.a)
 
     def in_scope(self, C: float = 5.0) -> bool:
         return (1 <= self.h <= math.log(self.X) ** C) and (0 < self.alpha < 1 / 9)
@@ -310,13 +316,7 @@ def weighted_sum_W(spec: ExpSumSpec, window: BumpWindow) -> WeightedSumResult:
 
 def count_pi_I(X: int, q: int, a: int, win: FracWindow, table=None) -> int:
     """#{p <= X : frac(p^alpha) in [c, d), p = a (q)}."""
-    if q < 1:
-        raise ArgumentError(f"need q >= 1, got {q}")
-    if q == 1:
-        if a != 0:
-            raise ArgumentError("q = 1 requires a = 0")
-    elif not 0 <= a < q:
-        raise ArgumentError(f"need a in [0, q), got {a}")
+    _check_progression(q, a)
     ps = _primes_for_range(2, X + 1, table)
     if q > 1:
         ps = ps[ps % q == a]

@@ -360,8 +360,14 @@ def nonstationary_bound(X_I: float, V_I: float, Y_I: float, Q_I: float,
 # stationary phase
 
 def _stationary(g: PhaseModel, window) -> tuple:
-    """g.closed() read once, its t0 checked to be in window and a zero of g'."""
-    t0, g0, g2 = g.closed()
+    """g.closed() read once, its t0 checked to be in window and a zero of g'.
+    A closed form that overflows float64 is an ArgumentError."""
+    try:
+        t0, g0, g2 = g.closed()
+        if not all(map(math.isfinite, (t0, g0, g2))):
+            raise OverflowError
+    except OverflowError:
+        raise ArgumentError("stationary point: closed form overflows float64") from None
     if window is not None and not window[0] <= t0 <= window[1]:
         raise StationaryPointError(
             f"stationary point {t0} outside window {window}")

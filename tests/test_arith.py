@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,36 @@ def test_factor_square_roots_at_the_trial_edge():
     assert factor(p * q).factors == ((p, 1), (q, 1))
     assert factor(4 * 999_979 * 999_983).factors == ((2, 2), (999_979, 1),
                                                      (p, 1))
+
+
+@pytest.mark.parametrize("n", [1_000_003 * 1_000_033, 1_000_003 ** 2],
+                         ids=["pq", "p^2"])
+def test_factor_refuses_a_composite_cofactor(n):
+    # two prime factors above the trial range leave a composite cofactor
+    # above 10^12: refused at once, not searched for
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as exc:
+        factor(n)
+    assert time.perf_counter() - t0 < 0.5
+    assert exc.value.estimate == n
+    assert exc.value.budget == 10 ** 12
+
+
+@pytest.mark.parametrize("n, factors", [
+    (10 ** 12 + 39, ((10 ** 12 + 39, 1),)),
+    (2 ** 61 - 1, ((2 ** 61 - 1, 1),)),
+    (999_983 * (10 ** 12 + 39), ((999_983, 1), (10 ** 12 + 39, 1)))])
+def test_factor_keeps_one_large_prime(n, factors):
+    # one prime factor above the trial range is the prime cofactor
+    assert factor(n).factors == factors
+
+
+@pytest.mark.parametrize("lo, hi", [(10 ** 12, 10 ** 12 + 10 ** 4),
+                                    (2 ** 48 - 10 ** 4, 2 ** 48)])
+def test_sieve_above_the_trial_range_matches_is_prime(lo, hi):
+    # base primes above 10^6 come from the sieve's own recursion
+    table = sieve_primes(lo, hi)
+    assert table.is_prime.tolist() == [is_prime(n) for n in range(lo, hi)]
 
 
 @given(st.integers(min_value=2, max_value=50_000))

@@ -675,11 +675,19 @@ def test_oscint_reversed_J_is_an_argument_error(capsys, method):
     ["decompose-check", "--k", "-1", "--nmax", "50"],
     ["decompose-check", "--k", "7"],
     ["decompose-check", "--k", "20000"],
-    ["decompose-check", "--n", "12", "--show", "-2"]])
+    ["decompose-check", "--n", "12", "--show", "-2"],
+    ["decompose-check", "--n", str(10 ** 400), "--k", "6"],
+    ["oscint", "--phase", "first", "--X", "1e160", "--method", "bound"],
+    ["oscint", "--phase", "first", "--X", "1e200", "--method", "expansion"],
+    ["oscint", "--phase", "second", "--X", "1e300", "--method", "bound"],
+    ["count", "--q", "4", "--a", "2"]])
 def test_degenerate_integers_are_argument_errors(capsys, argv):
     # q, u, m, n below 1 and a second-kind h of 0 have no phase to evaluate,
     # and the Heath-Brown identity is evaluated for 1 <= k <= 6 only (k =
-    # 20000 overflowed); no term count is below 0
+    # 20000 overflowed); no term count is below 0.  The default V = ceil(
+    # n^(1/k)) + 1 needs n < 2^1024, and the closed forms of the stationary
+    # point need a finite float64 t0, g(t0) and g''(t0) (each overflowed).
+    # count takes a class a mod q with gcd(a, q) = 1, as expsum does
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert "error: " in err
@@ -726,10 +734,13 @@ def _cap_address_space():
     (["classify", "--t", ",".join(["0.025"] * 40)],
      "beyond exponent tuple length budget 20"),
     (["oscint", "--phase", "first", "--X", "1e15", "--method", "quad"],
-     "trapezoid rule: no convergence")],
+     "trapezoid rule: no convergence"),
+    (["decompose-check", "--n", "1089698409629982021903656432897", "--k", "6"],
+     "beyond composite cofactor budget 1000000000000")],
     ids=["sieve-hi", "cache-build", "count-X", "expsum-X", "bv-X", "bv-Q",
          "decompose-nmax", "kloosterman-q1e10", "kloosterman-q1e8",
-         "kloosterman-table", "gauss-q", "classify-t", "oscint-X"])
+         "kloosterman-table", "gauss-q", "classify-t", "oscint-X",
+         "decompose-n-cofactor"])
 def test_size_parameter_over_budget_exits_4(tmp_path, argv, message):
     # every size parameter is refused before anything is allocated: exit 4
     # within a second; a 3 GiB address-space cap on the child process turns

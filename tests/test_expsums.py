@@ -478,6 +478,13 @@ def test_count_pi_I_matches_brute():
             2000, q, a, alpha, c, d, primes)
 
 
+def test_count_pi_I_refuses_a_class_sharing_a_factor_with_q():
+    # the rule ExpSumSpec applies: a class a mod q needs gcd(a, q) = 1
+    win = FracWindow(alpha=0.1, c=0.0, d=0.5)
+    with pytest.raises(ArgumentError, match="gcd"):
+        count_pi_I(100, 4, 2, win)
+
+
 def test_count_pi_I_residue_completeness():
     win = FracWindow(alpha=0.1, c=0.0, d=0.5)
     X, q = 3000, 12
